@@ -179,13 +179,17 @@ pub fn emit_hop_events(
     scale: f64,
     placements: &[HopPlacement],
 ) {
+    use std::fmt::Write;
     if !sink.is_enabled() {
         return;
     }
+    let mut label = String::new();
     for p in placements {
+        label.clear();
+        let _ = write!(label, "hop {}->{}", p.src.0, p.dst.0);
         sink.span(
             SpanEvent::new(
-                format!("hop {}->{}", p.src.0, p.dst.0),
+                label.as_str(),
                 "ring",
                 tracks::resource(map.bank(p.src)),
                 base_ns + p.start_ns * scale,
@@ -204,8 +208,10 @@ pub fn emit_hop_events(
             *busy.entry(p.src.0).or_default() += p.dur_ns;
         }
         for (bank, busy_ns) in busy {
+            label.clear();
+            let _ = write!(label, "util.bank{bank}");
             sink.counter(CounterEvent::sample(
-                format!("util.bank{bank}"),
+                label.as_str(),
                 tracks::resource(map.bank(BankId(bank))),
                 base_ns,
                 "busy_frac",

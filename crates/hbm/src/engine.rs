@@ -193,6 +193,11 @@ pub struct Engine {
     quiet: bool,
 }
 
+/// Counter series name of each category's cumulative busy fraction,
+/// `util.<label>`, indexed by [`Category::index`].
+const UTIL_COUNTERS: [&str; 4] =
+    ["util.data-movement", "util.arithmetic", "util.reduction", "util.other"];
+
 /// One recorded pricing action from a repeat body's first iteration: the
 /// exact statistics updates `Engine::run` applied, minus the step walk
 /// that produced them. Replaying the log repeats the identical f64
@@ -328,7 +333,7 @@ impl Engine {
         if emit {
             self.sink.span(
                 SpanEvent::new(
-                    self.scope.clone(),
+                    self.scope.as_str(),
                     category.label(),
                     tracks::category(category),
                     start_ns,
@@ -344,7 +349,7 @@ impl Engine {
             // Cumulative busy fraction of this category so far — plotted by
             // trace viewers as a utilization-over-time curve.
             self.sink.counter(CounterEvent::sample(
-                format!("util.{}", category.label()),
+                UTIL_COUNTERS[category.index()],
                 tracks::category(category),
                 self.stats.latency_ns,
                 "busy_frac",
@@ -363,9 +368,13 @@ impl Engine {
         placed: &SchedulePlacements,
         start_ns: f64,
     ) {
+        use std::fmt::Write;
         let scale = self.latency_scale;
         let mut busy: HashMap<ResourceId, f64> = HashMap::new();
+        let mut label = String::new();
         for (i, (op, p)) in ops.iter().zip(&placed.ops).enumerate() {
+            label.clear();
+            let _ = write!(label, "op{i}");
             for r in &op.resources {
                 *busy.entry(*r).or_default() += p.end_ns - p.start_ns;
                 if self.named_resources.insert(r.0) {
@@ -373,7 +382,7 @@ impl Engine {
                 }
                 self.sink.span(
                     SpanEvent::new(
-                        format!("op{i}"),
+                        label.as_str(),
                         category.label(),
                         tracks::resource(*r),
                         start_ns + p.start_ns * scale,
@@ -387,8 +396,10 @@ impl Engine {
             let mut per_resource: Vec<(ResourceId, f64)> = busy.into_iter().collect();
             per_resource.sort_by_key(|(r, _)| *r);
             for (r, busy_ns) in per_resource {
+                label.clear();
+                let _ = write!(label, "util.res{}", r.0);
                 self.sink.counter(CounterEvent::sample(
-                    format!("util.res{}", r.0),
+                    label.as_str(),
                     tracks::resource(r),
                     start_ns,
                     "busy_frac",
@@ -451,6 +462,13 @@ impl Engine {
 mod tests {
     use super::*;
     use transpim_obs::{ChromeTraceSink, NullSink};
+
+    #[test]
+    fn util_counter_names_follow_category_labels() {
+        for c in Category::ALL {
+            assert_eq!(UTIL_COUNTERS[c.index()], format!("util.{}", c.label()));
+        }
+    }
 
     fn op(resources: &[u32], latency: f64) -> PhaseOp {
         PhaseOp {

@@ -6,6 +6,7 @@
 //! sink exports microseconds, per the trace-event spec).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of one timeline row ("thread" in Chrome-trace terms).
 ///
@@ -62,14 +63,74 @@ impl From<String> for ArgValue {
     }
 }
 
+/// Key of an event argument or counter series. Emitters pass static
+/// labels, which cost nothing to attach.
+pub type Key = Cow<'static, str>;
+
+/// Arguments stored inline before [`ArgList`] spills to the heap; the
+/// simulator's emitters attach at most five.
+const INLINE_ARGS: usize = 6;
+
+/// Ordered `(key, value)` list attached to an event: the first
+/// [`INLINE_ARGS`] entries live inline, so building an event with a few
+/// arguments allocates nothing. Duplicate keys are kept in push order;
+/// sinks decide how to fold them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArgList<V> {
+    inline: [Option<(Key, V)>; INLINE_ARGS],
+    len: usize,
+    spill: Vec<(Key, V)>,
+}
+
+impl<V> Default for ArgList<V> {
+    fn default() -> Self {
+        Self { inline: Default::default(), len: 0, spill: Vec::new() }
+    }
+}
+
+impl<V> ArgList<V> {
+    /// Append one entry.
+    pub fn push(&mut self, key: impl Into<Key>, value: V) {
+        let entry = (key.into(), value);
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = Some(entry),
+            None => self.spill.push(entry),
+        }
+        self.len += 1;
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entries in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.inline
+            .iter()
+            .map_while(Option::as_ref)
+            .chain(&self.spill)
+            .map(|(k, v)| (k.as_ref(), v))
+    }
+}
+
 /// A complete interval on a track: something that took time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanEvent {
+///
+/// Names and categories borrow when they can (`'a` is the emitter's
+/// label, e.g. the engine's current scope), so emitting an event copies no
+/// strings; sinks that keep events copy or intern what they store.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanEvent<'a> {
     /// Human-readable name (scope label, hop label, op label).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Category label, matching the breakdown vocabulary of the emitter
     /// (e.g. `data-movement`, `arithmetic`, `ring`).
-    pub category: String,
+    pub category: Cow<'a, str>,
     /// Track the span renders on.
     pub track: TrackId,
     /// Start, in simulated nanoseconds.
@@ -77,14 +138,14 @@ pub struct SpanEvent {
     /// Duration, in simulated nanoseconds (≥ 0).
     pub dur_ns: f64,
     /// Attached arguments.
-    pub args: Vec<(String, ArgValue)>,
+    pub args: ArgList<ArgValue>,
 }
 
-impl SpanEvent {
+impl<'a> SpanEvent<'a> {
     /// A span with no arguments.
     pub fn new(
-        name: impl Into<String>,
-        category: impl Into<String>,
+        name: impl Into<Cow<'a, str>>,
+        category: impl Into<Cow<'a, str>>,
         track: TrackId,
         start_ns: f64,
         dur_ns: f64,
@@ -95,13 +156,13 @@ impl SpanEvent {
             track,
             start_ns,
             dur_ns,
-            args: Vec::new(),
+            args: ArgList::default(),
         }
     }
 
     /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<String>, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key.into(), value.into()));
+    pub fn with_arg(mut self, key: impl Into<Key>, value: impl Into<ArgValue>) -> Self {
+        self.args.push(key, value.into());
         self
     }
 
@@ -114,61 +175,69 @@ impl SpanEvent {
 }
 
 /// A point-in-time marker on a track.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstantEvent {
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstantEvent<'a> {
     /// Human-readable name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Category label.
-    pub category: String,
+    pub category: Cow<'a, str>,
     /// Track the marker renders on.
     pub track: TrackId,
     /// Timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
     /// Attached arguments.
-    pub args: Vec<(String, ArgValue)>,
+    pub args: ArgList<ArgValue>,
 }
 
-impl InstantEvent {
+impl<'a> InstantEvent<'a> {
     /// An instant with no arguments.
     pub fn new(
-        name: impl Into<String>,
-        category: impl Into<String>,
+        name: impl Into<Cow<'a, str>>,
+        category: impl Into<Cow<'a, str>>,
         track: TrackId,
         ts_ns: f64,
     ) -> Self {
-        Self { name: name.into(), category: category.into(), track, ts_ns, args: Vec::new() }
+        Self {
+            name: name.into(),
+            category: category.into(),
+            track,
+            ts_ns,
+            args: ArgList::default(),
+        }
     }
 
     /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<String>, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key.into(), value.into()));
+    pub fn with_arg(mut self, key: impl Into<Key>, value: impl Into<ArgValue>) -> Self {
+        self.args.push(key, value.into());
         self
     }
 }
 
 /// A sampled counter value series (utilization, occupancy, queue depth).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterEvent {
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterEvent<'a> {
     /// Counter series name (one chart per name in trace viewers).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Track the counter renders on.
     pub track: TrackId,
     /// Sample timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
     /// `(series, value)` samples taken at `ts_ns`.
-    pub values: Vec<(String, f64)>,
+    pub values: ArgList<f64>,
 }
 
-impl CounterEvent {
+impl<'a> CounterEvent<'a> {
     /// A counter with a single `(series, value)` sample.
     pub fn sample(
-        name: impl Into<String>,
+        name: impl Into<Cow<'a, str>>,
         track: TrackId,
         ts_ns: f64,
-        series: impl Into<String>,
+        series: impl Into<Key>,
         value: f64,
     ) -> Self {
-        Self { name: name.into(), track, ts_ns, values: vec![(series.into(), value)] }
+        let mut values = ArgList::default();
+        values.push(series, value);
+        Self { name: name.into(), track, ts_ns, values }
     }
 }
 
@@ -181,15 +250,17 @@ mod tests {
         let s = SpanEvent::new("fc", "arithmetic", TrackId(2), 1.0, 5.0)
             .with_arg("energy_pj", 10.0)
             .with_arg("label", "a");
-        assert_eq!(s.args.len(), 2);
-        assert_eq!(s.args[0].1, ArgValue::Num(10.0));
-        assert_eq!(s.args[1].1, ArgValue::Str("a".into()));
+        let args: Vec<_> = s.args.iter().collect();
+        assert_eq!(
+            args,
+            [("energy_pj", &ArgValue::Num(10.0)), ("label", &ArgValue::Str("a".into()))]
+        );
     }
 
     #[test]
     fn with_count_attaches_count_arg() {
         let s = SpanEvent::new("repeat x7", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
-        assert_eq!(s.args, vec![("count".to_owned(), ArgValue::Num(7.0))]);
+        assert_eq!(s.args.iter().collect::<Vec<_>>(), [("count", &ArgValue::Num(7.0))]);
     }
 
     #[test]
@@ -203,6 +274,19 @@ mod tests {
     #[test]
     fn counter_sample_is_single_series() {
         let c = CounterEvent::sample("util", TrackId::DEFAULT, 3.0, "busy", 0.5);
-        assert_eq!(c.values, vec![("busy".to_owned(), 0.5)]);
+        assert_eq!(c.values.iter().collect::<Vec<_>>(), [("busy", &0.5)]);
+    }
+
+    #[test]
+    fn arg_lists_spill_past_the_inline_capacity_in_order() {
+        let mut args = ArgList::default();
+        for i in 0..INLINE_ARGS + 3 {
+            args.push(format!("k{i}"), i);
+        }
+        assert_eq!(args.len(), INLINE_ARGS + 3);
+        let keys: Vec<String> = args.iter().map(|(k, _)| k.to_owned()).collect();
+        let want: Vec<String> = (0..INLINE_ARGS + 3).map(|i| format!("k{i}")).collect();
+        assert_eq!(keys, want);
+        assert!(args.iter().zip(0..).all(|((_, v), i)| *v == i));
     }
 }

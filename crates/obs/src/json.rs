@@ -1,15 +1,22 @@
 //! Minimal JSON writer used by the built-in sinks.
 //!
 //! The trace and metrics exporters stream their (small, fixed) shapes —
-//! the trace-event array and the flat metrics map — directly into a
-//! `String` instead of building a `serde_json` tree first: traces can hold
-//! hundreds of thousands of events, the writer cannot fail, and the
+//! the trace-event array and the flat metrics map — directly as text
+//! instead of building a `serde_json` tree first: traces can hold
+//! hundreds of thousands of events, formatting cannot fail, and the
 //! output stays byte-stable across serde versions. The `serde` derives
-//! remain on the event types for library consumers that want them.
+//! remain on the exported record types (`ChromeEvent`, `ArgValue`,
+//! `TrackId`) for library consumers that want them.
 
 /// Append `s` as a JSON string literal (quoted, escaped).
 pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    // Simulator labels never need escaping: copy them in one go.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -7,7 +7,8 @@
 //! API instead of ad-hoc strings:
 //!
 //! * [`event`] — the span / instant / counter event model with typed
-//!   [`event::TrackId`] timelines,
+//!   [`event::TrackId`] timelines; events borrow their labels and keep a
+//!   few arguments inline, so building one allocates nothing,
 //! * [`sink`] — the pluggable [`Sink`] trait, the cheap cloneable
 //!   [`SinkHandle`] the simulation layers carry, the zero-overhead
 //!   [`NullSink`], and a [`FanoutSink`] multiplexer,
@@ -41,7 +42,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use chrome::{ChromeEvent, ChromeTraceSink};
-pub use event::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
+pub use event::{ArgList, ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 pub use metrics::MetricsSink;
 pub use sink::{FanoutSink, NullSink, Sink, SinkHandle};
 

@@ -5,6 +5,9 @@
 //! counters, instant counts, plus caller-supplied summary metrics. Keys are
 //! dotted paths (`span.<category>.<name>.total_ns`), stable and sorted, so
 //! diffs between runs are line diffs.
+//!
+//! Folding an event looks its keys up by borrow and allocates a key only
+//! the first time it is seen.
 
 use crate::event::{ArgValue, CounterEvent, InstantEvent, SpanEvent};
 use crate::sink::Sink;
@@ -24,10 +27,23 @@ struct SpanAccum {
 /// Sink that folds the event stream into flat metrics.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    spans: BTreeMap<(String, String), SpanAccum>,
+    /// Span aggregates by category, then name: iterating the nested maps
+    /// visits `(category, name)` pairs in tuple order.
+    spans: BTreeMap<String, BTreeMap<String, SpanAccum>>,
     counters: BTreeMap<String, f64>,
     instants: BTreeMap<String, u64>,
     extra: BTreeMap<String, f64>,
+    /// Scratch for composing `<name>.<series>` counter keys.
+    key: String,
+}
+
+/// Apply `f` to the entry for `key`, inserting a default (and allocating
+/// the key) only when it is missing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
 }
 
 impl MetricsSink {
@@ -56,12 +72,15 @@ impl MetricsSink {
     /// last merged value (serial last-write-wins), instant counts add, and
     /// summary metrics keep the last merged value.
     pub fn merge(&mut self, other: MetricsSink) {
-        for (key, incoming) in other.spans {
-            let a = self.spans.entry(key).or_default();
-            a.count += incoming.count;
-            a.total_ns += incoming.total_ns;
-            for (arg, sum) in incoming.arg_sums {
-                *a.arg_sums.entry(arg).or_default() += sum;
+        for (category, names) in other.spans {
+            let mine = self.spans.entry(category).or_default();
+            for (name, incoming) in names {
+                let a = mine.entry(name).or_default();
+                a.count += incoming.count;
+                a.total_ns += incoming.total_ns;
+                for (arg, sum) in incoming.arg_sums {
+                    *a.arg_sums.entry(arg).or_default() += sum;
+                }
             }
         }
         for (name, value) in other.counters {
@@ -78,12 +97,14 @@ impl MetricsSink {
     /// The flat, sorted `key → value` view of everything recorded.
     pub fn to_flat(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
-        for ((category, name), a) in &self.spans {
-            let base = format!("span.{category}.{name}");
-            out.insert(format!("{base}.count"), a.count as f64);
-            out.insert(format!("{base}.total_ns"), a.total_ns);
-            for (arg, sum) in &a.arg_sums {
-                out.insert(format!("{base}.{arg}"), *sum);
+        for (category, names) in &self.spans {
+            for (name, a) in names {
+                let base = format!("span.{category}.{name}");
+                out.insert(format!("{base}.count"), a.count as f64);
+                out.insert(format!("{base}.total_ns"), a.total_ns);
+                for (arg, sum) in &a.arg_sums {
+                    out.insert(format!("{base}.{arg}"), *sum);
+                }
             }
         }
         for (name, value) in &self.counters {
@@ -125,9 +146,10 @@ impl MetricsSink {
 
     /// Render the flat metrics as `metric,value` CSV lines (with header).
     pub fn to_csv_string(&self) -> String {
+        use std::fmt::Write;
         let mut out = String::from("metric,value\n");
         for (k, v) in self.to_flat() {
-            out.push_str(&format!("{k},{v}\n"));
+            let _ = writeln!(out, "{k},{v}");
         }
         out
     }
@@ -150,24 +172,31 @@ impl MetricsSink {
 }
 
 impl Sink for MetricsSink {
-    fn span(&mut self, event: SpanEvent) {
-        let a = self.spans.entry((event.category, event.name)).or_default();
-        a.count += 1;
-        a.total_ns += event.dur_ns;
-        for (key, value) in event.args {
-            if let ArgValue::Num(v) = value {
-                *a.arg_sums.entry(key).or_default() += v;
-            }
-        }
+    fn span(&mut self, event: &SpanEvent<'_>) {
+        update(&mut self.spans, &event.category, |names| {
+            update(names, &event.name, |a| {
+                a.count += 1;
+                a.total_ns += event.dur_ns;
+                for (key, value) in event.args.iter() {
+                    if let ArgValue::Num(v) = value {
+                        update(&mut a.arg_sums, key, |sum| *sum += v);
+                    }
+                }
+            })
+        });
     }
 
-    fn instant(&mut self, event: InstantEvent) {
-        *self.instants.entry(event.name).or_default() += 1;
+    fn instant(&mut self, event: &InstantEvent<'_>) {
+        update(&mut self.instants, &event.name, |n| *n += 1);
     }
 
-    fn counter(&mut self, event: CounterEvent) {
-        for (series, value) in event.values {
-            self.counters.insert(format!("{}.{series}", event.name), value);
+    fn counter(&mut self, event: &CounterEvent<'_>) {
+        for (series, value) in event.values.iter() {
+            self.key.clear();
+            self.key.push_str(&event.name);
+            self.key.push('.');
+            self.key.push_str(series);
+            update(&mut self.counters, &self.key, |v| *v = *value);
         }
     }
 }
@@ -180,15 +209,15 @@ mod tests {
     fn filled() -> MetricsSink {
         let mut m = MetricsSink::new();
         m.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
         );
         m.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
         );
-        m.span(SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
-        m.instant(InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
-        m.counter(CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
-        m.counter(CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
+        m.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
+        m.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
+        m.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
+        m.counter(&CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
         m.push_metric("sim.latency_ns", 22.0);
         m
     }
@@ -211,16 +240,16 @@ mod tests {
         // merging them in submission order must reproduce the shared sink.
         let mut first = MetricsSink::new();
         first.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
         );
-        first.counter(CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
+        first.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
         let mut second = MetricsSink::new();
         second.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
         );
-        second.span(SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
-        second.instant(InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
-        second.counter(CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
+        second.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
+        second.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
+        second.counter(&CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
         second.push_metric("sim.latency_ns", 22.0);
 
         let mut merged = MetricsSink::new();

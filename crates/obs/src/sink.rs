@@ -9,10 +9,10 @@ use std::rc::Rc;
 /// Consumer of observability events.
 ///
 /// Sinks are single-threaded (the simulator is a discrete-event loop) and
-/// receive events in emission order, which is phase order but not strictly
-/// timestamp order — a phase's interior events (ring hops, per-op spans)
-/// arrive before the enclosing phase span. Sinks that need time order sort
-/// on export, as [`crate::ChromeTraceSink`] does.
+/// receive events by reference, in emission order. That is phase order but
+/// not strictly timestamp order — a phase's interior events (ring hops,
+/// per-op spans) arrive before the enclosing phase span. Sinks that need
+/// time order sort on export, as [`crate::ChromeTraceSink`] does.
 pub trait Sink {
     /// Whether this sink wants events at all. [`SinkHandle`] caches the
     /// answer at construction; a `false` makes every emission a no-op.
@@ -21,13 +21,13 @@ pub trait Sink {
     }
 
     /// Record a completed span.
-    fn span(&mut self, event: SpanEvent);
+    fn span(&mut self, event: &SpanEvent<'_>);
 
     /// Record an instantaneous marker.
-    fn instant(&mut self, event: InstantEvent);
+    fn instant(&mut self, event: &InstantEvent<'_>);
 
     /// Record a counter sample.
-    fn counter(&mut self, event: CounterEvent);
+    fn counter(&mut self, event: &CounterEvent<'_>);
 
     /// Name a track (shown as the timeline-row label in viewers). Optional.
     fn track_name(&mut self, track: TrackId, name: &str) {
@@ -79,23 +79,23 @@ impl SinkHandle {
     }
 
     /// Emit a completed span.
-    pub fn span(&self, event: SpanEvent) {
+    pub fn span(&self, event: SpanEvent<'_>) {
         if let Some(s) = &self.inner {
-            s.borrow_mut().span(event);
+            s.borrow_mut().span(&event);
         }
     }
 
     /// Emit an instantaneous marker.
-    pub fn instant(&self, event: InstantEvent) {
+    pub fn instant(&self, event: InstantEvent<'_>) {
         if let Some(s) = &self.inner {
-            s.borrow_mut().instant(event);
+            s.borrow_mut().instant(&event);
         }
     }
 
     /// Emit a counter sample.
-    pub fn counter(&self, event: CounterEvent) {
+    pub fn counter(&self, event: CounterEvent<'_>) {
         if let Some(s) = &self.inner {
-            s.borrow_mut().counter(event);
+            s.borrow_mut().counter(&event);
         }
     }
 
@@ -118,15 +118,16 @@ impl Sink for NullSink {
         false
     }
 
-    fn span(&mut self, _: SpanEvent) {}
+    fn span(&mut self, _: &SpanEvent<'_>) {}
 
-    fn instant(&mut self, _: InstantEvent) {}
+    fn instant(&mut self, _: &InstantEvent<'_>) {}
 
-    fn counter(&mut self, _: CounterEvent) {}
+    fn counter(&mut self, _: &CounterEvent<'_>) {}
 }
 
 /// Multiplexer: forwards every event to each child handle (e.g. a Chrome
-/// trace and a metrics file from one run).
+/// trace and a metrics file from one run). Children see the same borrowed
+/// event; nothing is cloned per child.
 #[derive(Default)]
 pub struct FanoutSink {
     children: Vec<SinkHandle>,
@@ -137,6 +138,10 @@ impl FanoutSink {
     pub fn new(children: Vec<SinkHandle>) -> Self {
         Self { children: children.into_iter().filter(SinkHandle::is_enabled).collect() }
     }
+
+    fn sinks(&self) -> impl Iterator<Item = &Rc<RefCell<dyn Sink>>> {
+        self.children.iter().filter_map(|c| c.inner.as_ref())
+    }
 }
 
 impl Sink for FanoutSink {
@@ -144,30 +149,21 @@ impl Sink for FanoutSink {
         !self.children.is_empty()
     }
 
-    fn span(&mut self, event: SpanEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.span(event.clone());
-            }
-            last.span(event);
+    fn span(&mut self, event: &SpanEvent<'_>) {
+        for s in self.sinks() {
+            s.borrow_mut().span(event);
         }
     }
 
-    fn instant(&mut self, event: InstantEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.instant(event.clone());
-            }
-            last.instant(event);
+    fn instant(&mut self, event: &InstantEvent<'_>) {
+        for s in self.sinks() {
+            s.borrow_mut().instant(event);
         }
     }
 
-    fn counter(&mut self, event: CounterEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.counter(event.clone());
-            }
-            last.counter(event);
+    fn counter(&mut self, event: &CounterEvent<'_>) {
+        for s in self.sinks() {
+            s.borrow_mut().counter(event);
         }
     }
 

@@ -16,6 +16,34 @@ use crate::softmax::SoftmaxKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a [`ModelConfig`] shape cannot be simulated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ModelError {
+    /// A width or head count that must be positive is zero.
+    Zero(&'static str),
+    /// The attention heads do not split the hidden width evenly.
+    UnevenHeads {
+        /// Hidden width `D`.
+        d_model: usize,
+        /// Attention heads `h`.
+        heads: usize,
+    },
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::Zero(field) => write!(f, "model field {field} must be positive"),
+            ModelError::UnevenHeads { d_model, heads } => {
+                write!(f, "model d_model {d_model} is not divisible by heads {heads}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 /// Shape of a Transformer model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,6 +205,24 @@ impl ModelConfig {
             d_ff: 32,
             cross_attention: true,
         }
+    }
+
+    /// Check that the shape can be compiled and priced: positive widths
+    /// and head count, and heads that divide `d_model`.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        for (field, v) in [("heads", self.heads), ("d_model", self.d_model), ("d_ff", self.d_ff)] {
+            if v == 0 {
+                return Err(ModelError::Zero(field));
+            }
+        }
+        if !self.d_model.is_multiple_of(self.heads) {
+            return Err(ModelError::UnevenHeads { d_model: self.d_model, heads: self.heads });
+        }
+        Ok(())
     }
 
     /// Head width `d_h = D / h`.
@@ -342,6 +388,26 @@ impl<'a> ReferenceModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_accepts_the_zoo_and_names_bad_fields() {
+        for m in ModelConfig::zoo() {
+            assert_eq!(m.validate(), Ok(()), "{}", m.name);
+        }
+        let base = ModelConfig::roberta_base();
+        let zero_heads = ModelConfig { heads: 0, ..base.clone() };
+        assert_eq!(zero_heads.validate(), Err(ModelError::Zero("heads")));
+        let zero_d = ModelConfig { d_model: 0, ..base.clone() };
+        assert_eq!(zero_d.validate(), Err(ModelError::Zero("d_model")));
+        let zero_ff = ModelConfig { d_ff: 0, ..base.clone() };
+        assert_eq!(zero_ff.validate(), Err(ModelError::Zero("d_ff")));
+        let uneven = ModelConfig { heads: 5, ..base };
+        assert_eq!(uneven.validate(), Err(ModelError::UnevenHeads { d_model: 768, heads: 5 }));
+        assert_eq!(
+            uneven.validate().unwrap_err().to_string(),
+            "model d_model 768 is not divisible by heads 5"
+        );
+    }
 
     #[test]
     fn preset_shapes_match_published_models() {

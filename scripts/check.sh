@@ -74,7 +74,8 @@ TRANSPIM_PROPTEST_SUMMARY="$summary" \
     --test scheduler_properties \
     --test differential_fuzz \
     --test proptest_engine \
-    --test serde_roundtrips
+    --test serde_roundtrips \
+    --test obs_export_equivalence
 if [[ ! -s "$summary" ]]; then
   echo "error: no proptest case-count summary was written — the property" >&2
   echo "engine is not executing generated cases." >&2
@@ -92,7 +93,8 @@ for required in \
   differential_fuzz::grid_pricing_is_job_count_invariant \
   differential_fuzz::correctable_faults_stay_within_error_budget \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
-  serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
+  serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape \
+  obs_export_equivalence::compact_exporters_match_reference_bytes
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then
     echo "error: required property did not run: $required" >&2
@@ -100,5 +102,14 @@ do
   fi
 done
 echo "    $(wc -l < "$summary") properties, case counts audited ($summary)"
+
+# The benchmark's probe is a package of its own that compiles against the
+# simulator crates by path; a library change that breaks it must fail here,
+# not when the benchmark next runs. Its artifacts go under target/.
+echo "==> perfbench probe (build, unit tests) and checker self-tests"
+probe=(--offline --manifest-path perfbench/probe/Cargo.toml --target-dir target/perfbench-probe)
+cargo build "${probe[@]}"
+cargo test -q "${probe[@]}"
+python3 perfbench/test_checker.py
 
 echo "All checks passed."

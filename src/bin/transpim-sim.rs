@@ -285,6 +285,19 @@ fn main() -> ExitCode {
         ArchConfig::new(kind).with_stacks(opts.stacks).with_acu(opts.p_sub, opts.p_add)
     };
 
+    // Reject shapes and hardware the simulator cannot price before any
+    // work starts: one diagnostic line, nonzero exit, no panic.
+    let kinds = if opts.all { &ArchKind::ALL[..] } else { std::slice::from_ref(&opts.arch) };
+    let checked = opts.workload.model.validate().map_err(|e| e.to_string()).and_then(|()| {
+        kinds
+            .iter()
+            .try_for_each(|&k| make_arch(k).validated().map(drop).map_err(|e| e.to_string()))
+    });
+    if let Err(msg) = checked {
+        eprintln!("error: {msg}");
+        return ExitCode::from(1);
+    }
+
     if opts.all {
         let mut cells = Vec::new();
         for kind in ArchKind::ALL {

@@ -1,0 +1,57 @@
+//! `transpim-sim` rejects inputs it cannot price with one diagnostic line
+//! and exit status 1, instead of panicking or printing a meaningless
+//! result.
+
+use std::process::{Command, Output};
+
+fn sim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_transpim-sim")).args(args).output().expect("run transpim-sim")
+}
+
+/// Exit status 1 and exactly one `error: ...` line on stderr containing
+/// `needle`; nothing on stdout.
+fn assert_rejected(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "one diagnostic line, got: {stderr}");
+    assert!(lines[0].starts_with("error: "), "{stderr}");
+    assert!(lines[0].contains(needle), "expected '{needle}' in: {stderr}");
+    assert!(out.stdout.is_empty(), "no report on failure");
+}
+
+fn workload_file(name: &str, heads: usize, d_model: usize) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let json = format!(
+        r#"{{"name":"bad","model":{{"name":"bad","encoder_layers":1,"decoder_layers":0,
+        "d_model":{d_model},"heads":{heads},"d_ff":3072,"cross_attention":false}},
+        "seq_len":128,"decode_len":0,"batch":1}}"#
+    );
+    std::fs::write(&path, json).expect("write workload file");
+    format!("file:{}", path.display())
+}
+
+#[test]
+fn zero_acus_per_bank_is_rejected() {
+    assert_rejected(&sim(&["--workload", "imdb", "--p-sub", "0"]), "acu.p_sub");
+    assert_rejected(&sim(&["--workload", "imdb", "--p-add", "0", "--all"]), "acu.p_add");
+}
+
+#[test]
+fn zero_heads_in_a_workload_file_is_rejected() {
+    let w = workload_file("zero-heads.json", 0, 768);
+    assert_rejected(&sim(&["--workload", &w]), "heads");
+}
+
+#[test]
+fn heads_that_do_not_divide_d_model_are_rejected() {
+    let w = workload_file("uneven-heads.json", 5, 768);
+    assert_rejected(&sim(&["--workload", &w, "--dataflow", "layer"]), "divisible");
+}
+
+#[test]
+fn valid_overrides_still_run() {
+    let out = sim(&["--workload", "imdb", "--p-sub", "8", "--p-add", "2", "--stacks", "2"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Token-TransPIM"));
+}
