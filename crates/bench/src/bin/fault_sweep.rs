@@ -15,7 +15,7 @@
 //! 20220402) so reruns are byte-identical.
 
 use serde::Serialize;
-use transpim::accelerator::Accelerator;
+use transpim::accelerator::{Accelerator, Simulation};
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::fault::{Fault, FaultScenario};
 use transpim::report::DataflowKind;
@@ -91,12 +91,14 @@ fn main() {
             let arch = arch.clone();
             let w = w.clone();
             move || {
-                let acc = Accelerator::new(arch);
-                let r =
-                    acc.simulate_degraded(&w, DataflowKind::Token, &scenario).unwrap_or_else(|e| {
-                        eprintln!("error: {sweep} x{amount}: {e}");
-                        std::process::exit(1);
-                    });
+                let sim = Simulation {
+                    faults: Some(&scenario),
+                    ..Simulation::new(&w, DataflowKind::Token)
+                };
+                let r = Accelerator::new(arch).run(sim).unwrap_or_else(|e| {
+                    eprintln!("error: {sweep} x{amount}: {e}");
+                    std::process::exit(1);
+                });
                 let f = r.faults.clone().unwrap_or_default();
                 Row {
                     sweep,

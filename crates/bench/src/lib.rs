@@ -16,11 +16,11 @@ pub mod fuzz;
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
-use transpim::accelerator::Accelerator;
+use transpim::accelerator::{Accelerator, Simulation};
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
 use transpim::report::{DataflowKind, SimReport};
-use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
+use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
 use transpim_transformer::workload::Workload;
 
 /// Simulate one `dataflow`-`arch` system on `workload` with `stacks` HBM
@@ -31,20 +31,7 @@ pub fn run_system(
     workload: &Workload,
     stacks: u32,
 ) -> SimReport {
-    run_system_observed(kind, dataflow, workload, stacks, SinkHandle::null())
-}
-
-/// [`run_system`] with an observability sink attached to the execution.
-/// A [`SinkHandle::null`] sink makes this identical to [`run_system`].
-pub fn run_system_observed(
-    kind: ArchKind,
-    dataflow: DataflowKind,
-    workload: &Workload,
-    stacks: u32,
-    sink: SinkHandle,
-) -> SimReport {
-    let arch = ArchConfig::new(kind).with_stacks(stacks);
-    Accelerator::new(arch).simulate_with_sink(workload, dataflow, sink)
+    Accelerator::new(ArchConfig::new(kind).with_stacks(stacks)).simulate(workload, dataflow)
 }
 
 /// One cell of an evaluation grid: a full architecture configuration, a
@@ -93,13 +80,11 @@ pub struct CellOutput {
 /// the outputs **in submission order** — output is independent of `jobs`.
 ///
 /// Scheduling: cells sharing an `(arch, dataflow)` pair form one batch
-/// (one pool job) so a single [`Executor`]'s ring/broadcast/tree schedule
-/// caches amortize across the batch — e.g. across the sequence lengths of
-/// a sweep. Executor reuse is skipped when observability is requested,
-/// because the executor collapses repeated per-hop trace detail and reuse
-/// would change trace *verbosity* (never priced results) between runs;
-/// with sinks on, every cell gets a fresh executor and private sinks, so
-/// merging them in submission order reproduces a serial run's stream.
+/// (one pool job) priced on a single [`Executor`], so its schedule cache
+/// amortizes across the batch — e.g. across the sequence lengths of a
+/// sweep. Reuse changes no priced number and no emitted event. Each cell
+/// gets private sinks, so merging them in submission order reproduces a
+/// serial run's stream.
 pub fn run_grid(
     jobs: usize,
     want_trace: bool,
@@ -120,7 +105,6 @@ pub fn run_grid(
         }
     }
 
-    let reuse_executor = !(want_trace || want_metrics);
     let pool_jobs: Vec<_> = batches
         .into_iter()
         .map(|batch| {
@@ -129,51 +113,27 @@ pub fn run_grid(
                 batch
                     .into_iter()
                     .map(|(index, cell)| {
-                        let acc = Accelerator::new(cell.arch.clone());
-                        let output = if reuse_executor {
-                            let exec = exec.get_or_insert_with(|| Executor::new(cell.arch.clone()));
-                            let report = acc.simulate_on(
-                                exec,
-                                &cell.workload,
-                                cell.dataflow,
-                                SinkHandle::null(),
-                            );
-                            CellOutput { report, trace: None, metrics: None }
-                        } else {
-                            // Sinks live and die inside this worker thread:
-                            // the Rc handles never cross threads, and the
-                            // owned sinks travel back with the result.
-                            let trace = want_trace.then(ChromeTraceSink::shared);
-                            let metrics = want_metrics.then(MetricsSink::shared);
-                            let mut handles: Vec<SinkHandle> = Vec::new();
-                            if let Some(t) = &trace {
-                                handles.push(SinkHandle::from_shared(t.clone()));
-                            }
-                            if let Some(m) = &metrics {
-                                handles.push(SinkHandle::from_shared(m.clone()));
-                            }
-                            let sink = match handles.len() {
-                                0 => SinkHandle::null(),
-                                1 => handles.pop().expect("one handle"),
-                                _ => SinkHandle::new(FanoutSink::new(handles)),
-                            };
-                            let report =
-                                acc.simulate_with_sink(&cell.workload, cell.dataflow, sink);
-                            let unwrap_own = |rc: Rc<RefCell<ChromeTraceSink>>| {
-                                Rc::try_unwrap(rc)
-                                    .expect("simulation dropped its sink handle")
-                                    .into_inner()
-                            };
-                            let unwrap_own_m = |rc: Rc<RefCell<MetricsSink>>| {
-                                Rc::try_unwrap(rc)
-                                    .expect("simulation dropped its sink handle")
-                                    .into_inner()
-                            };
-                            CellOutput {
-                                report,
-                                trace: trace.map(unwrap_own),
-                                metrics: metrics.map(unwrap_own_m),
-                            }
+                        // Sinks live and die inside this worker thread: the
+                        // Rc handles never cross threads, and the owned
+                        // sinks travel back with the result.
+                        let trace = want_trace.then(ChromeTraceSink::shared);
+                        let metrics = want_metrics.then(MetricsSink::shared);
+                        let mut handles: Vec<SinkHandle> = Vec::new();
+                        handles.extend(trace.clone().map(SinkHandle::from_shared));
+                        handles.extend(metrics.clone().map(SinkHandle::from_shared));
+                        let exec = exec.get_or_insert_with(|| Executor::new(cell.arch.clone()));
+                        let sim = Simulation {
+                            sink: SinkHandle::fanout(handles),
+                            executor: Some(exec),
+                            ..Simulation::new(&cell.workload, cell.dataflow)
+                        };
+                        let report = Accelerator::new(cell.arch)
+                            .run(sim)
+                            .expect("only a fault scenario can fail a run");
+                        let output = CellOutput {
+                            report,
+                            trace: trace.map(into_owned),
+                            metrics: metrics.map(into_owned),
                         };
                         (index, output)
                     })
@@ -190,6 +150,11 @@ pub fn run_grid(
         }
     }
     out.into_iter().map(|o| o.expect("every grid cell ran")).collect()
+}
+
+/// The sink a finished simulation handed back: its handles are dropped.
+fn into_owned<S>(shared: Rc<RefCell<S>>) -> S {
+    Rc::try_unwrap(shared).ok().expect("simulation dropped its sink handle").into_inner()
 }
 
 /// Remove `--jobs N` from `args` and return the worker count — defaulting
@@ -293,17 +258,9 @@ impl ObsSession {
     /// observability output was requested.
     pub fn sink(&self) -> SinkHandle {
         let mut handles: Vec<SinkHandle> = Vec::new();
-        if let Some((_, c)) = &self.trace {
-            handles.push(SinkHandle::from_shared(c.clone()));
-        }
-        if let Some((_, m)) = &self.metrics {
-            handles.push(SinkHandle::from_shared(m.clone()));
-        }
-        match handles.len() {
-            0 => SinkHandle::null(),
-            1 => handles.pop().expect("one handle"),
-            _ => SinkHandle::new(FanoutSink::new(handles)),
-        }
+        handles.extend(self.trace.as_ref().map(|(_, c)| SinkHandle::from_shared(c.clone())));
+        handles.extend(self.metrics.as_ref().map(|(_, m)| SinkHandle::from_shared(m.clone())));
+        SinkHandle::fanout(handles)
     }
 
     /// Whether `--trace` was requested.

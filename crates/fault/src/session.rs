@@ -255,6 +255,12 @@ impl FaultSession {
         &self.degraded_links
     }
 
+    /// Whether dead or degraded ring links reroute transfers, so pricing
+    /// needs a rewired resource map.
+    pub fn rewires_ring(&self) -> bool {
+        !self.dead_links.is_empty() || !self.degraded_links.is_empty()
+    }
+
     pub fn broken_dividers(&self) -> &BTreeSet<u32> {
         &self.broken_dividers
     }

@@ -72,6 +72,17 @@ impl SinkHandle {
         Self { inner: Some(sink) }
     }
 
+    /// One handle feeding every enabled handle of `children`: the null
+    /// handle when none is enabled, that handle itself when one is, and a
+    /// [`FanoutSink`] over them otherwise.
+    pub fn fanout(children: Vec<SinkHandle>) -> Self {
+        let mut children: Vec<_> = children.into_iter().filter(Self::is_enabled).collect();
+        match children.len() {
+            0 | 1 => children.pop().unwrap_or_default(),
+            _ => Self::new(FanoutSink { children }),
+        }
+    }
+
     /// Whether emissions reach a sink. Gate expensive event construction on
     /// this.
     pub fn is_enabled(&self) -> bool {
@@ -203,6 +214,27 @@ mod tests {
         fan.counter(CounterEvent::sample("u", TrackId(1), 1.0, "busy", 0.5));
         assert_eq!(a.borrow().len(), 3);
         assert_eq!(b.borrow().len(), 3);
+    }
+
+    #[test]
+    fn fanout_handle_is_null_single_or_multiplexed() {
+        assert!(!SinkHandle::fanout(Vec::new()).is_enabled());
+        assert!(!SinkHandle::fanout(vec![SinkHandle::null()]).is_enabled());
+
+        let a = ChromeTraceSink::shared();
+        let one = SinkHandle::fanout(vec![SinkHandle::null(), SinkHandle::from_shared(a.clone())]);
+        // The lone enabled child is passed through, not wrapped.
+        assert!(Rc::ptr_eq(one.inner.as_ref().unwrap(), &(a.clone() as Rc<RefCell<dyn Sink>>)));
+        one.instant(InstantEvent::new("i", "c", TrackId(1), 1.0));
+        assert_eq!(a.borrow().len(), 1);
+
+        let b = ChromeTraceSink::shared();
+        let two = SinkHandle::fanout(vec![
+            SinkHandle::from_shared(a.clone()),
+            SinkHandle::from_shared(b.clone()),
+        ]);
+        two.instant(InstantEvent::new("i", "c", TrackId(1), 2.0));
+        assert_eq!((a.borrow().len(), b.borrow().len()), (2, 1));
     }
 
     #[test]

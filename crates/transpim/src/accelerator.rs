@@ -7,7 +7,7 @@ use crate::report::{DataflowKind, SimReport};
 use transpim_dataflow::ir::Program;
 use transpim_dataflow::{layer_flow, token_flow};
 use transpim_fault::{FaultScenario, FaultSession, SystemInfo};
-use transpim_obs::{ChromeTraceSink, ObsError, SinkHandle};
+use transpim_obs::SinkHandle;
 use transpim_transformer::workload::Workload;
 
 /// A configured memory-based accelerator.
@@ -30,6 +30,50 @@ pub struct Accelerator {
     arch: ArchConfig,
 }
 
+/// One simulation request for [`Accelerator::run`]. Start from
+/// [`Simulation::new`] and override fields with struct-update syntax:
+///
+/// ```
+/// use transpim::accelerator::Simulation;
+/// use transpim::{Accelerator, ArchConfig, ArchKind, ChromeTraceSink, DataflowKind, SinkHandle};
+/// use transpim_transformer::workload::Workload;
+///
+/// let mut w = Workload::imdb();
+/// w.model.encoder_layers = 1; // keep the doctest fast
+/// let chrome = ChromeTraceSink::shared();
+/// let sink = SinkHandle::from_shared(chrome.clone());
+/// let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
+/// let report = acc.run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) }).unwrap();
+/// assert_eq!(report.stats, acc.simulate(&w, DataflowKind::Token).stats);
+/// assert!(!chrome.borrow().is_empty());
+/// ```
+#[derive(Debug)]
+pub struct Simulation<'a> {
+    /// The workload to compile and price.
+    pub workload: &'a Workload,
+    /// The dataflow it is compiled under.
+    pub dataflow: DataflowKind,
+    /// Where phase spans, resource counters, per-hop ring events and fault
+    /// instants go. [`SinkHandle::null`] emits nothing and changes no
+    /// priced number.
+    pub sink: SinkHandle,
+    /// A fault scenario to degrade gracefully under. `None` and an empty
+    /// scenario give byte-identical reports.
+    pub faults: Option<&'a FaultScenario>,
+    /// An executor to price on, so its schedule cache carries over from
+    /// earlier requests of the same architecture (e.g. a sweep over
+    /// sequence lengths). Reuse changes no priced number and no emitted
+    /// event. `None` prices on a fresh executor.
+    pub executor: Option<&'a mut Executor>,
+}
+
+impl<'a> Simulation<'a> {
+    /// A fault-free request with no sink, on a fresh executor.
+    pub fn new(workload: &'a Workload, dataflow: DataflowKind) -> Self {
+        Self { workload, dataflow, sink: SinkHandle::null(), faults: None, executor: None }
+    }
+}
+
 impl Accelerator {
     /// Build an accelerator around an architecture configuration.
     pub fn new(arch: ArchConfig) -> Self {
@@ -48,82 +92,42 @@ impl Accelerator {
     /// O(layers), not O(decode_len × layers). Use
     /// [`transpim_dataflow::ir::Program::unroll`] for the explicit sequence.
     pub fn compile(&self, workload: &Workload, dataflow: DataflowKind) -> Program {
-        let banks = self.arch.hbm.geometry.total_banks();
-        match dataflow {
-            DataflowKind::Token => token_flow::compile(workload, banks),
-            DataflowKind::Layer => layer_flow::compile(workload, banks),
-        }
+        compile(workload, dataflow, self.arch.hbm.geometry.total_banks())
     }
 
     /// Compile `workload` under `dataflow` and simulate it.
     pub fn simulate(&self, workload: &Workload, dataflow: DataflowKind) -> SimReport {
-        self.simulate_with_sink(workload, dataflow, SinkHandle::null())
+        self.run(Simulation::new(workload, dataflow)).expect("only a fault scenario can fail a run")
     }
 
-    /// Like [`Accelerator::simulate`], with an observability sink attached
-    /// to the execution: phase spans, resource occupancy counters and
-    /// per-hop ring events stream into `sink` as the program runs. With a
-    /// [`SinkHandle::null`] sink this is exactly [`Accelerator::simulate`].
-    pub fn simulate_with_sink(
+    /// Simulate under an injected fault scenario; see [`Simulation::faults`]
+    /// and [`Accelerator::run`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Accelerator::run`].
+    pub fn simulate_degraded(
         &self,
         workload: &Workload,
         dataflow: DataflowKind,
-        sink: SinkHandle,
-    ) -> SimReport {
-        let mut exec = Executor::new(self.arch.clone());
-        self.simulate_on(&mut exec, workload, dataflow, sink)
+        scenario: &FaultScenario,
+    ) -> Result<SimReport, SimError> {
+        self.run(Simulation { faults: Some(scenario), ..Simulation::new(workload, dataflow) })
     }
 
-    /// Like [`Accelerator::simulate_with_sink`], running on a caller-owned
-    /// [`Executor`] so its ring/broadcast/tree schedule caches amortize
-    /// across simulations of the same architecture (e.g. a sweep over
-    /// sequence lengths). Priced results are identical to a fresh executor
-    /// — the caches are pure memoization — but trace *verbosity* is not:
-    /// the executor collapses repeated per-hop detail, so reuse an
-    /// executor across runs only when `sink` is disabled.
+    /// Compile and price one request — the single simulation path every
+    /// other entry point delegates to.
     ///
-    /// # Panics
-    ///
-    /// Panics if `exec` was built from a different [`ArchConfig`] than
-    /// this accelerator (cached schedules would be priced for the wrong
-    /// geometry).
-    pub fn simulate_on(
-        &self,
-        exec: &mut Executor,
-        workload: &Workload,
-        dataflow: DataflowKind,
-        sink: SinkHandle,
-    ) -> SimReport {
-        assert!(
-            exec.prices_arch(&self.arch),
-            "executor architecture does not match accelerator architecture"
-        );
-        let program = self.compile(workload, dataflow);
-        let (stats, scoped) = exec.run_with_sink(&program, sink);
-        SimReport {
-            system: self.arch.system_label(dataflow.label()),
-            arch: self.arch.kind,
-            dataflow,
-            workload: workload.name.clone(),
-            stats,
-            scoped,
-            total_ops: workload.total_ops(),
-            batch: workload.batch,
-            faults: None,
-        }
-    }
-
-    /// Simulate under an injected fault scenario with graceful
-    /// degradation: tokens re-shard around failed banks, ring traffic
-    /// re-routes around dead neighbor links over the shared channel bus
-    /// (Figure 9's 8T path), stuck bit-planes serialize the surviving
-    /// subarrays, broken ACU dividers fall back to in-array
-    /// Newton–Raphson, and transient flips are absorbed by the scenario's
-    /// ECC scheme. The report carries the fault accounting in
-    /// [`SimReport::faults`].
-    ///
-    /// An *empty* scenario produces a report byte-identical to
-    /// [`Accelerator::simulate`].
+    /// Under a fault scenario the run degrades gracefully: tokens re-shard
+    /// around failed banks, ring traffic re-routes around dead neighbor
+    /// links over the shared channel bus (Figure 9's 8T path), stuck
+    /// bit-planes serialize the surviving subarrays, broken ACU dividers
+    /// fall back to in-array Newton–Raphson, and transient flips are
+    /// absorbed by the scenario's ECC scheme. Fault events appear as
+    /// instants on a dedicated trace track, and a non-empty scenario's
+    /// accounting lands in [`SimReport::faults`]. A scenario that rewires
+    /// ring links prices a machine no [`ArchConfig`] describes, so it runs
+    /// on a private executor and leaves [`Simulation::executor`] untouched.
     ///
     /// # Errors
     ///
@@ -131,75 +135,58 @@ impl Accelerator {
     /// geometry does not have, [`SimError::Uncorrectable`] when a fault
     /// exceeds every degradation policy (no banks survive, a bank's
     /// subarrays all stuck, or an unprotected transient flip).
-    pub fn simulate_degraded(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowKind,
-        scenario: &FaultScenario,
-    ) -> Result<SimReport, SimError> {
-        self.simulate_degraded_with_sink(workload, dataflow, scenario, SinkHandle::null())
-    }
-
-    /// [`Accelerator::simulate_degraded`] with an observability sink:
-    /// fault events (ECC corrections, parity retries) appear as instants
-    /// on a dedicated trace track, named lazily so fault-free traces stay
-    /// byte-identical.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`Accelerator::simulate_degraded`].
-    pub fn simulate_degraded_with_sink(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowKind,
-        scenario: &FaultScenario,
-        sink: SinkHandle,
-    ) -> Result<SimReport, SimError> {
+    /// Panics if [`Simulation::executor`] was built from a different
+    /// [`ArchConfig`] than this accelerator (cached schedules would be
+    /// priced for the wrong geometry).
+    pub fn run(&self, sim: Simulation<'_>) -> Result<SimReport, SimError> {
+        if let Some(exec) = &sim.executor {
+            assert!(
+                exec.prices_arch(&self.arch),
+                "executor architecture does not match accelerator architecture"
+            );
+        }
         let g = &self.arch.hbm.geometry;
         let info = SystemInfo {
             total_banks: g.total_banks(),
             total_groups: g.total_groups(),
             subarrays_per_bank: g.subarrays_per_bank,
         };
-        let mut session = FaultSession::new(scenario, info)?;
+        let mut session = sim.faults.map(|s| FaultSession::new(s, info)).transpose()?;
         // Re-shard over the surviving pool (session validation guarantees
         // at least one healthy bank). The compiled program addresses the
         // healthy banks renumbered contiguously in ring order.
-        let healthy = g.total_banks() - session.failed_bank_count();
-        let program = match dataflow {
-            DataflowKind::Token => token_flow::compile(workload, healthy),
-            DataflowKind::Layer => layer_flow::compile(workload, healthy),
+        let failed = session.as_ref().map_or(0, FaultSession::failed_bank_count);
+        let program = compile(sim.workload, sim.dataflow, g.total_banks() - failed);
+        let mut private = None;
+        let exec = match sim.executor {
+            Some(exec) if !session.as_ref().is_some_and(FaultSession::rewires_ring) => exec,
+            _ => private.insert(Executor::new(self.arch.clone())),
         };
-        let mut exec = Executor::new(self.arch.clone());
-        exec.apply_ring_faults(&session);
-        let (stats, scoped) = exec.run_degraded_with_sink(&program, &mut session, sink)?;
+        if let Some(session) = &session {
+            exec.apply_ring_faults(session);
+        }
+        let (stats, scoped) = exec.execute(&program, sim.sink, session.as_mut())?;
         Ok(SimReport {
-            system: self.arch.system_label(dataflow.label()),
+            system: self.arch.system_label(sim.dataflow.label()),
             arch: self.arch.kind,
-            dataflow,
-            workload: workload.name.clone(),
+            dataflow: sim.dataflow,
+            workload: sim.workload.name.clone(),
             stats,
             scoped,
-            total_ops: workload.total_ops(),
-            batch: workload.batch,
-            faults: if scenario.is_empty() { None } else { Some(session.stats()) },
+            total_ops: sim.workload.total_ops(),
+            batch: sim.workload.batch,
+            faults: session.filter(|s| !s.is_empty()).map(|s| s.stats()),
         })
     }
+}
 
-    /// Like [`Accelerator::simulate`], but additionally returns a
-    /// Chrome-tracing JSON document of the phase timeline (loadable in
-    /// `chrome://tracing` or Perfetto). Serialization failures are
-    /// propagated, not swallowed.
-    pub fn simulate_traced(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowKind,
-    ) -> Result<(SimReport, String), ObsError> {
-        let chrome = ChromeTraceSink::shared();
-        let report =
-            self.simulate_with_sink(workload, dataflow, SinkHandle::from_shared(chrome.clone()));
-        let trace = chrome.borrow().to_json_string()?;
-        Ok((report, trace))
+fn compile(workload: &Workload, dataflow: DataflowKind, banks: u32) -> Program {
+    match dataflow {
+        DataflowKind::Token => token_flow::compile(workload, banks),
+        DataflowKind::Layer => layer_flow::compile(workload, banks),
     }
 }
 
@@ -207,6 +194,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use crate::arch::ArchKind;
+    use transpim_obs::{ChromeTraceSink, MetricsSink};
 
     #[test]
     fn simulate_produces_labeled_report() {
@@ -232,7 +220,9 @@ mod tests {
             for df in DataflowKind::ALL {
                 let mut w = Workload::synthetic_roberta(seq_len);
                 w.model.encoder_layers = 1;
-                let reused = acc.simulate_on(&mut shared, &w, df, transpim_obs::SinkHandle::null());
+                let reused = acc
+                    .run(Simulation { executor: Some(&mut shared), ..Simulation::new(&w, df) })
+                    .unwrap();
                 let fresh = acc.simulate(&w, df);
                 assert_eq!(reused.stats, fresh.stats, "{df} @ {seq_len}");
                 assert_eq!(reused.scoped, fresh.scoped, "{df} @ {seq_len}");
@@ -246,12 +236,43 @@ mod tests {
         let mut w = Workload::imdb();
         w.model.encoder_layers = 1;
         let mut exec = crate::exec::Executor::new(ArchConfig::new(ArchKind::Nbp));
-        Accelerator::new(ArchConfig::new(ArchKind::TransPim)).simulate_on(
-            &mut exec,
-            &w,
-            DataflowKind::Token,
-            transpim_obs::SinkHandle::null(),
-        );
+        let sim =
+            Simulation { executor: Some(&mut exec), ..Simulation::new(&w, DataflowKind::Token) };
+        let _ = Accelerator::new(ArchConfig::new(ArchKind::TransPim)).run(sim);
+    }
+
+    /// Report, trace and metrics documents of one observed run.
+    fn observed(acc: &Accelerator, w: &Workload, exec: Option<&mut Executor>) -> [String; 3] {
+        let chrome = ChromeTraceSink::shared();
+        let metrics = MetricsSink::shared();
+        let sink = SinkHandle::fanout(vec![
+            SinkHandle::from_shared(chrome.clone()),
+            SinkHandle::from_shared(metrics.clone()),
+        ]);
+        let sim = Simulation { sink, executor: exec, ..Simulation::new(w, DataflowKind::Token) };
+        let report = acc.run(sim).unwrap();
+        let trace = chrome.borrow().to_json_string().unwrap();
+        let metrics = metrics.borrow().to_json_string().unwrap();
+        [report.to_json().unwrap(), trace, metrics]
+    }
+
+    #[test]
+    fn reused_executor_with_sinks_matches_fresh_executor_bytes() {
+        // Which ring and tree topologies already emitted per-hop detail is
+        // per-run state: an executor warmed by earlier observed runs must
+        // emit exactly the documents a fresh executor emits.
+        let mut w = Workload::pubmed();
+        w.model.encoder_layers = 1;
+        w.model.decoder_layers = 1;
+        w.decode_len = 4;
+        w.seq_len = 128;
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let acc = Accelerator::new(arch.clone());
+        let fresh = observed(&acc, &w, None);
+        let mut exec = Executor::new(arch);
+        for run in 0..3 {
+            assert_eq!(observed(&acc, &w, Some(&mut exec)), fresh, "reused run {run} diverged");
+        }
     }
 
     #[test]
@@ -284,7 +305,11 @@ mod tests {
         w.model.encoder_layers = 1;
         let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
         let plain = acc.simulate(&w, DataflowKind::Token);
-        let (traced, trace) = acc.simulate_traced(&w, DataflowKind::Token).unwrap();
+        let chrome = ChromeTraceSink::shared();
+        let sink = SinkHandle::from_shared(chrome.clone());
+        let traced =
+            acc.run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) }).unwrap();
+        let trace = chrome.borrow().to_json_string().unwrap();
         assert_eq!(plain.stats, traced.stats);
         assert!(serde_json::from_str::<serde_json::Value>(&trace).is_ok());
     }

@@ -15,8 +15,15 @@
 //!   architecture-specific resource maps (ring links only when the
 //!   broadcast hardware exists).
 //!
-//! Ring steps, one-to-all broadcasts and reduction trees are memoized by
-//! their structural key, since the decoder repeats them thousands of times.
+//! Pricing has two halves. `Executor::cost` maps one step to at most two
+//! lumps from the cost models and the memoized schedules; it never sees
+//! the engine, the sink, the replay log or a fault session. One emission
+//! loop owns the rest: trace detail, fault gating, replay recording and
+//! running each lump on the engine.
+//!
+//! Ring steps, one-to-all broadcasts and reduction trees are memoized in
+//! one schedule cache keyed by their structure, since the decoder repeats
+//! them thousands of times.
 
 use crate::arch::{ArchConfig, ArchKind};
 use crate::calib;
@@ -35,7 +42,7 @@ use transpim_hbm::engine::{tracks, Engine, LumpAction, Phase};
 use transpim_hbm::geometry::BankId;
 use transpim_hbm::resource::ResourceMap;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
-use transpim_obs::{ChromeTraceSink, InstantEvent, ObsError, SinkHandle, SpanEvent};
+use transpim_obs::{InstantEvent, SinkHandle, SpanEvent};
 use transpim_pim::cost::{PimCostModel, PimOp};
 use transpim_pim::rowclone::RowCloneModel;
 
@@ -55,20 +62,10 @@ pub struct Executor {
     /// Broadcast writes are paced by this floor even on the buffered
     /// datapath — every receiving bank's array write is the bottleneck.
     stream_floor_gbs: f64,
-    ring_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    broadcast_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    tree_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    /// Per-hop placements for traced runs, keyed like the cost caches.
-    /// Only populated when a sink is attached.
-    ring_hop_cache: HashMap<(u32, u32, u64), Vec<HopPlacement>>,
-    tree_hop_cache: HashMap<(u32, u32, u64), Vec<HopPlacement>>,
-    /// Ring/tree topologies `(start, count)` that already emitted one
-    /// fully-detailed per-hop exemplar into the trace. The decoder prices
-    /// the same topology thousands of times (with per-step byte counts);
-    /// re-emitting every hop each time swamps the trace and dominates the
-    /// traced run's cost, so later occurrences collapse to a summary span.
-    ring_detail_emitted: HashSet<(u32, u32)>,
-    tree_detail_emitted: HashSet<(u32, u32)>,
+    /// Every communication schedule priced so far. Pure memoization of
+    /// `map`, so reuse across runs never changes a priced number or an
+    /// emitted event.
+    schedules: HashMap<ScheduleKey, Schedule>,
     /// When tracing, collapse iterations 1..N of a [`Step::Repeat`] into a
     /// single summary span instead of emitting every iteration's phases —
     /// keeps trace size O(compiled steps) for long decode loops. Off by
@@ -81,9 +78,126 @@ pub struct Executor {
     map_faulted: bool,
 }
 
-/// Threaded fault context: `None` everywhere on the fault-free path, so
-/// pricing is byte-identical to a build without this subsystem.
-type FaultCtx<'a> = Option<&'a mut FaultSession>;
+/// The communication pattern a cached schedule prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Pattern {
+    /// One full ring step ([`Step::RingBroadcast`]).
+    Ring,
+    /// The transfers of a pairwise halving tree
+    /// ([`Step::PairwiseReduceTree`]); its in-bank adds are priced apart.
+    Tree,
+    /// A one-to-all broadcast from bank `src` ([`Step::OneToAll`]).
+    OneToAll { src: u32 },
+}
+
+/// Structural key of a communication schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ScheduleKey {
+    pattern: Pattern,
+    banks: BankRange,
+    bytes: u64,
+}
+
+impl ScheduleKey {
+    /// The hop sets of a ring or tree, one per barrier-separated level: a
+    /// ring step is one level, the tree one per halving stride. A
+    /// one-to-all broadcast is priced in closed form and has none.
+    fn levels(&self) -> Vec<Vec<Hop>> {
+        let ids = self.banks.to_vec();
+        match self.pattern {
+            Pattern::Ring => vec![ring::ring_step_hops(&ids, self.bytes)],
+            Pattern::Tree => std::iter::successors(Some(1usize), |s| Some(s * 2))
+                .take_while(|&stride| stride < ids.len())
+                .map(|stride| pairwise_reduce_hops(&ids, stride, self.bytes))
+                .collect(),
+            Pattern::OneToAll { .. } => Vec::new(),
+        }
+    }
+
+    /// Price the schedule: levels run back to back.
+    fn price(&self, map: &ResourceMap, xfer: &TransferCostModel) -> Schedule {
+        let cost = match self.pattern {
+            Pattern::OneToAll { src } => {
+                one_to_all_broadcast(map, xfer, BankId(src), &self.banks.to_vec(), self.bytes)
+            }
+            Pattern::Ring | Pattern::Tree => {
+                let mut total = ScheduleResult::default();
+                for hops in self.levels() {
+                    let r = schedule_hops(map, xfer, &hops);
+                    total.latency_ns += r.latency_ns;
+                    total.energy_pj += r.energy_pj;
+                    total.bytes += r.bytes;
+                    total.slots += r.slots;
+                }
+                total
+            }
+        };
+        Schedule { cost, hops: None }
+    }
+
+    /// Per-hop placements of every level, each level offset by the
+    /// latency of the levels before it.
+    fn placements(&self, map: &ResourceMap, xfer: &TransferCostModel) -> Vec<HopPlacement> {
+        let mut all = Vec::new();
+        let mut offset = 0.0;
+        for hops in self.levels() {
+            let (r, placed) = schedule_hops_placed(map, xfer, &hops);
+            all.extend(placed.into_iter().map(|mut p| {
+                p.start_ns += offset;
+                p
+            }));
+            offset += r.latency_ns;
+        }
+        all
+    }
+}
+
+/// A memoized schedule: its cost, and the per-hop placements a traced run
+/// fills in the first time it draws the schedule in detail.
+#[derive(Debug)]
+struct Schedule {
+    cost: ScheduleResult,
+    hops: Option<Vec<HopPlacement>>,
+}
+
+/// One priced lump: the unit the engine runs and the replay log records.
+#[derive(Debug, Clone, Copy)]
+struct Lump {
+    category: Category,
+    latency_ns: f64,
+    energy_pj: f64,
+    bytes: f64,
+}
+
+/// The lumps one step costs — at most two (a reduction tree moves, then
+/// adds).
+type Lumps = [Option<Lump>; 2];
+
+fn lump(category: Category, (latency_ns, energy_pj): (f64, f64), bytes: f64) -> Option<Lump> {
+    Some(Lump { category, latency_ns, energy_pj, bytes })
+}
+
+/// What one pricing run owns beyond the executor's models and caches.
+struct Run<'s> {
+    engine: Engine,
+    /// Gates every lump. Absent when the session perturbs nothing, so
+    /// such runs keep the repeat-replay fast path.
+    session: Option<&'s mut FaultSession>,
+    /// The lump stream of a repeat body's first iteration, while it is
+    /// being recorded for [`Engine::replay_lumps`].
+    log: Option<Vec<LumpAction>>,
+    /// Ring and tree topologies that already emitted one fully detailed
+    /// per-hop exemplar. The decoder prices the same topology thousands of
+    /// times (with per-step byte counts); later occurrences collapse to a
+    /// summary span so the trace does not grow with the step count.
+    detailed: HashSet<(Pattern, BankRange)>,
+}
+
+impl<'s> Run<'s> {
+    fn new(engine: Engine, session: Option<&'s mut FaultSession>) -> Self {
+        Self { engine, session, log: None, detailed: HashSet::new() }
+    }
+}
 
 impl Executor {
     /// Normalize an input configuration to what the executor prices:
@@ -138,22 +252,10 @@ impl Executor {
             rowclone,
             xfer,
             stream_floor_gbs,
-            ring_cache: HashMap::new(),
-            broadcast_cache: HashMap::new(),
-            tree_cache: HashMap::new(),
-            ring_hop_cache: HashMap::new(),
-            tree_hop_cache: HashMap::new(),
-            ring_detail_emitted: HashSet::new(),
-            tree_detail_emitted: HashSet::new(),
+            schedules: HashMap::new(),
             collapse_repeats: false,
             map_faulted: false,
         }
-    }
-
-    /// The resource map transfers are routed over (after any applied ring
-    /// faults).
-    pub fn resource_map(&self) -> &ResourceMap {
-        &self.map
     }
 
     /// The architecture being priced.
@@ -175,26 +277,16 @@ impl Executor {
         self.run_with_sink(program, SinkHandle::null())
     }
 
-    /// Run a program with an observability sink attached: phase spans,
+    /// [`Executor::run`] with an observability sink attached: phase spans,
     /// per-resource occupancy counters and per-hop ring events are emitted
-    /// to `sink` as the engine executes. A [`SinkHandle::null`] sink makes
-    /// this identical to [`Executor::run`] — no events are built and the
-    /// statistics are bit-for-bit the same.
+    /// to `sink` as the engine executes. The statistics are bit-for-bit
+    /// those of [`Executor::run`].
     pub fn run_with_sink(
         &mut self,
         program: &Program,
         sink: SinkHandle,
     ) -> (SimStats, ScopedStats) {
-        let mut engine = Engine::with_sink(sink);
-        engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_on(program, &mut engine);
-        engine.into_stats()
-    }
-
-    fn run_on(&mut self, program: &Program, engine: &mut Engine) {
-        if let Err(e) = self.run_segment(program.steps(), engine, &mut None, &mut None) {
-            unreachable!("fault-free pricing cannot fail: {e}");
-        }
+        self.execute(program, sink, None).expect("only a fault session can fail a run")
     }
 
     /// Run a program under a fault session: every lump is repriced through
@@ -216,94 +308,144 @@ impl Executor {
         program: &Program,
         session: &mut FaultSession,
     ) -> Result<(SimStats, ScopedStats), SimError> {
-        self.run_degraded_with_sink(program, session, SinkHandle::null())
+        self.execute(program, SinkHandle::null(), Some(session))
     }
 
-    /// [`Executor::run_degraded`] with an observability sink attached:
-    /// fault events (ECC corrections, parity retries) are emitted as
-    /// instants on the dedicated fault track alongside the usual phase
-    /// spans and counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`Executor::run_degraded`].
-    pub fn run_degraded_with_sink(
+    /// Price `program` with `sink` attached, under `session` when one is
+    /// given. Every public entry point lands here. An empty session prices
+    /// exactly as no session.
+    pub(crate) fn execute(
         &mut self,
         program: &Program,
-        session: &mut FaultSession,
         sink: SinkHandle,
+        session: Option<&mut FaultSession>,
     ) -> Result<(SimStats, ScopedStats), SimError> {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_segment(program.steps(), &mut engine, &mut None, &mut Some(session))?;
-        Ok(engine.into_stats())
+        let mut run = Run::new(engine, session.filter(|s| !s.is_empty()));
+        self.segment(program.steps(), &mut run)?;
+        Ok(run.engine.into_stats())
     }
 
     /// Rewire the resource map around the session's ring-link faults: dead
     /// links fall back to the shared channel bus (Figure 9's 8T path),
     /// degraded links keep their dedicated link at reduced bandwidth. The
-    /// communication memo caches are invalidated; the closed-form
-    /// one-to-all broadcast rides the channel buses already and is
-    /// unaffected by neighbor-link faults.
+    /// schedule cache is invalidated.
     pub fn apply_ring_faults(&mut self, session: &FaultSession) {
-        if session.dead_links().is_empty() && session.degraded_links().is_empty() {
+        if !session.rewires_ring() {
             return;
         }
         let dead: Vec<u32> = session.dead_links().iter().copied().collect();
         let degraded: Vec<(u32, f64)> =
             session.degraded_links().iter().map(|(&g, &f)| (g, f)).collect();
         self.map = self.map.clone().with_ring_faults(&dead, &degraded);
-        self.ring_cache.clear();
-        self.broadcast_cache.clear();
-        self.tree_cache.clear();
-        self.ring_hop_cache.clear();
-        self.tree_hop_cache.clear();
+        self.schedules.clear();
         self.map_faulted = true;
     }
 
-    /// Record a lump into the replay log (when recording) and run it.
-    /// Every lump the executor prices flows through here so a recorded
-    /// repeat body replays the exact phase stream.
-    fn lump_out(engine: &mut Engine, log: &mut Option<&mut Vec<LumpAction>>, phase: Phase) {
-        if let Some(log) = log.as_deref_mut() {
-            if let Phase::Lump { category, latency_ns, energy_pj, bytes } = &phase {
-                log.push(LumpAction::Lump {
-                    category: *category,
-                    latency_ns: *latency_ns,
-                    energy_pj: *energy_pj,
-                    bytes: *bytes,
-                });
+    /// The emission loop: price a step slice — a whole program or one
+    /// repeat-body iteration — and run its lumps. The pipelined-ring fusion
+    /// window applies within the slice (compiled repeat bodies begin with a
+    /// scope and end with a memory touch, so fusion never wants to cross an
+    /// iteration boundary).
+    fn segment(&mut self, steps: &[Step], run: &mut Run<'_>) -> Result<(), SimError> {
+        let mut i = 0;
+        while i < steps.len() {
+            let step = &steps[i];
+            i += 1;
+            match step {
+                Step::Scope(label) => {
+                    if let Some(log) = &mut run.log {
+                        log.push(LumpAction::Scope(label.to_string()));
+                    }
+                    run.engine.set_scope(label);
+                    continue;
+                }
+                Step::Repeat { count, body, delta } => {
+                    self.repeat(*count, body, delta, run)?;
+                    continue;
+                }
+                _ => {}
+            }
+            let mut lumps = self.cost(step);
+            match (step, steps.get(i)) {
+                (
+                    Step::RingBroadcast { banks, repeat, .. },
+                    Some(mul @ Step::PointwiseMul { .. }),
+                ) if self.arch.pipelined_ring => {
+                    self.pipeline(&mut lumps, mul, *banks, *repeat, &run.engine);
+                    i += 1;
+                }
+                _ if run.engine.emitting() => self.detail(step, run),
+                _ => {}
+            }
+            for lump in lumps.into_iter().flatten() {
+                self.emit(step, lump, run)?;
             }
         }
-        engine.run(phase);
+        Ok(())
     }
 
-    /// Gate every priced lump through the fault session (when one is
-    /// attached) and hand it to [`Executor::lump_out`]. With no session
-    /// this is exactly `lump_out` — the fault-free path stays
-    /// byte-identical.
+    /// Pipelined ring: a ring broadcast immediately followed by the
+    /// point-wise multiply it feeds executes round by round — transfer of
+    /// round k+1 overlaps compute of round k — so the pair costs
+    /// max(transfer, compute) instead of the barrier sum. Only the ring's
+    /// share can hide; breakdown attribution keeps the visible residual as
+    /// movement. The overlap window is computed from the fault-free compute
+    /// latency; degradation applies to the residual lumps afterwards
+    /// (conservative — a slowed multiply could hide more of the ring than
+    /// we credit).
+    fn pipeline(
+        &mut self,
+        lumps: &mut Lumps,
+        mul: &Step,
+        banks: BankRange,
+        repeat: u64,
+        engine: &Engine,
+    ) {
+        let [mul, _] = self.cost(mul);
+        if let (Some(ring), Some(mul)) = (lumps[0].as_mut(), mul) {
+            let ring_ns = ring.latency_ns;
+            ring.latency_ns = (ring_ns - mul.latency_ns).max(0.0);
+            if engine.emitting() {
+                // Per-hop detail is meaningless here — rounds overlap the
+                // multiply — so mark the fused pair instead.
+                engine.sink().instant(
+                    InstantEvent::new("pipelined-ring", "ring", tracks::RING, engine.now_ns())
+                        .with_arg("ring_ns", ring_ns)
+                        .with_arg("mul_ns", mul.latency_ns)
+                        .with_arg("visible_ring_ns", ring.latency_ns)
+                        .with_arg("banks", u64::from(banks.count))
+                        .with_arg("repeat", repeat),
+                );
+            }
+        }
+        lumps[1] = mul;
+    }
+
+    /// Gate a lump through the fault session (when one is attached), record
+    /// it for replay (when recording) and run it. Every lump the executor
+    /// prices flows through here, so a recorded repeat body replays the
+    /// exact phase stream.
     ///
     /// # Errors
     ///
     /// [`SimError::Uncorrectable`] for flips the ECC scheme cannot absorb.
-    fn emit(
-        &self,
-        engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
-        fault: &mut FaultCtx<'_>,
-        phase: Phase,
-    ) -> Result<(), SimError> {
-        let Some(sess) = fault.as_deref_mut() else {
-            Self::lump_out(engine, log, phase);
-            return Ok(());
-        };
-        let Phase::Lump { category, latency_ns, energy_pj, bytes } = phase else {
-            Self::lump_out(engine, log, phase);
-            return Ok(());
-        };
-        let (latency_ns, energy_pj) =
-            self.degrade(engine, sess, category, latency_ns, energy_pj, bytes)?;
-        Self::lump_out(engine, log, Phase::lump(category, latency_ns, energy_pj, bytes));
+    fn emit(&self, step: &Step, mut lump: Lump, run: &mut Run<'_>) -> Result<(), SimError> {
+        if let Some(sess) = run.session.as_deref_mut() {
+            if let Step::Recip { per_bank, total } = *step {
+                if self.arch.kind.has_acu() && !sess.broken_dividers().is_empty() {
+                    (lump.latency_ns, lump.energy_pj) =
+                        self.recip_degraded(per_bank, total, sess, run.engine.latency_scale());
+                }
+            }
+            lump = self.degrade(&run.engine, sess, lump)?;
+        }
+        let Lump { category, latency_ns, energy_pj, bytes } = lump;
+        if let Some(log) = &mut run.log {
+            log.push(LumpAction::Lump { category, latency_ns, energy_pj, bytes });
+        }
+        run.engine.run(Phase::lump(category, latency_ns, energy_pj, bytes));
         Ok(())
     }
 
@@ -325,66 +467,50 @@ impl Executor {
     /// walks never leave the arrays.
     fn degrade(
         &self,
-        engine: &mut Engine,
+        engine: &Engine,
         sess: &mut FaultSession,
-        category: Category,
-        mut latency_ns: f64,
-        mut energy_pj: f64,
-        bytes: f64,
-    ) -> Result<(f64, f64), SimError> {
+        mut lump: Lump,
+    ) -> Result<Lump, SimError> {
         let scale = engine.latency_scale();
         let in_memory = self.arch.kind.computes_in_memory();
         let in_array_reduce = in_memory && !self.arch.kind.has_acu();
-        match category {
-            Category::Arithmetic if in_memory => {
-                let slow = sess.pim_slowdown();
-                if slow > 1.0 {
-                    let extra = latency_ns * (slow - 1.0);
-                    latency_ns += extra;
-                    sess.add_overhead(extra * scale, 0.0);
-                }
-            }
-            Category::Reduction if in_array_reduce => {
-                let slow = sess.pim_slowdown();
-                if slow > 1.0 {
-                    let extra = latency_ns * (slow - 1.0);
-                    latency_ns += extra;
-                    sess.add_overhead(extra * scale, 0.0);
-                }
-            }
+        match lump.category {
+            Category::Arithmetic if in_memory => Self::serialize(sess, &mut lump, scale),
+            Category::Reduction if in_array_reduce => Self::serialize(sess, &mut lump, scale),
             Category::DataMovement => {
                 let tax = sess.ecc_overhead_fraction();
                 if tax > 0.0 {
-                    let extra_lat = latency_ns * tax;
-                    let extra_pj = energy_pj * tax;
-                    latency_ns += extra_lat;
-                    energy_pj += extra_pj;
+                    let extra_lat = lump.latency_ns * tax;
+                    let extra_pj = lump.energy_pj * tax;
+                    lump.latency_ns += extra_lat;
+                    lump.energy_pj += extra_pj;
                     sess.add_overhead(extra_lat * scale, extra_pj);
                 }
-                match sess.observe_transfer(bytes) {
+                match sess.observe_transfer(lump.bytes) {
                     FlipOutcome::None => {}
                     FlipOutcome::Corrected(flips) => {
                         let extra_lat = flips as f64 * self.arch.hbm.timing.t_rc;
                         let extra_pj = flips as f64 * self.arch.hbm.energy.e_act;
-                        latency_ns += extra_lat;
-                        energy_pj += extra_pj;
+                        lump.latency_ns += extra_lat;
+                        lump.energy_pj += extra_pj;
                         sess.add_overhead(extra_lat * scale, extra_pj);
                         Self::fault_event(engine, sess, "ecc-correct", flips);
                     }
                     FlipOutcome::Retry(flips) => {
                         // One bounded re-read of the transfer (check bits
                         // included); the retry itself is not re-drawn.
-                        sess.add_overhead(latency_ns * scale, energy_pj);
-                        latency_ns *= 2.0;
-                        energy_pj *= 2.0;
+                        sess.add_overhead(lump.latency_ns * scale, lump.energy_pj);
+                        lump.latency_ns *= 2.0;
+                        lump.energy_pj *= 2.0;
                         Self::fault_event(engine, sess, "parity-retry", flips);
                     }
                     FlipOutcome::Uncorrectable(flips) => {
                         Self::fault_event(engine, sess, "uncorrectable-flip", flips);
                         return Err(SimError::Uncorrectable {
                             fault: format!(
-                                "{flips} transient bit flip(s) on a {bytes:.0}-byte transfer \
-                                 with no correcting ECC scheme"
+                                "{flips} transient bit flip(s) on a {:.0}-byte transfer \
+                                 with no correcting ECC scheme",
+                                lump.bytes
                             ),
                             at_ns: Some(engine.now_ns()),
                         });
@@ -393,7 +519,18 @@ impl Executor {
             }
             _ => {}
         }
-        Ok((latency_ns, energy_pj))
+        Ok(lump)
+    }
+
+    /// Stretch an in-memory lump over the subarrays surviving stuck
+    /// bit-planes.
+    fn serialize(sess: &mut FaultSession, lump: &mut Lump, scale: f64) {
+        let slow = sess.pim_slowdown();
+        if slow > 1.0 {
+            let extra = lump.latency_ns * (slow - 1.0);
+            lump.latency_ns += extra;
+            sess.add_overhead(extra * scale, 0.0);
+        }
     }
 
     /// Emit a fault instant on the dedicated fault track. The track is
@@ -411,153 +548,33 @@ impl Executor {
         );
     }
 
-    /// Price a step slice — a whole program or one repeat-body iteration.
-    /// The pipelined-ring fusion window applies within the slice (compiled
-    /// repeat bodies begin with a scope and end with a memory touch, so
-    /// fusion never wants to cross an iteration boundary). When `log` is
-    /// set, every priced lump and scope change is recorded for
-    /// [`Engine::replay_lumps`].
-    fn run_segment(
-        &mut self,
-        steps: &[Step],
-        engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
-        fault: &mut FaultCtx<'_>,
-    ) -> Result<(), SimError> {
-        let mut i = 0;
-        while i < steps.len() {
-            // Pipelined ring: a ring broadcast immediately followed by the
-            // point-wise multiply (and reduction) it feeds executes round
-            // by round — transfer of round k+1 overlaps compute of round k
-            // — so the pair costs max(transfer, compute) instead of the
-            // barrier sum. Only the ring's share can hide; breakdown
-            // attribution keeps the visible residual as movement.
-            if self.arch.pipelined_ring {
-                if let (
-                    Some(Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel }),
-                    Some(Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits }),
-                ) = (steps.get(i), steps.get(i + 1))
-                {
-                    let ring = self.ring_step(*banks, *bytes_per_hop);
-                    let ring_lat = ring.latency_ns * *repeat as f64;
-                    let (mul_lat, mul_pj) = self.pointwise(
-                        PimOp::Mul { a_bits: *a_bits, b_bits: *b_bits },
-                        *elems_per_bank,
-                        *total_elems,
-                    );
-                    let visible_ring = (ring_lat - mul_lat).max(0.0);
-                    if engine.emitting() {
-                        // Per-hop detail is meaningless here — rounds overlap
-                        // the multiply — so mark the fused pair instead.
-                        engine.sink().instant(
-                            InstantEvent::new(
-                                "pipelined-ring",
-                                "ring",
-                                tracks::RING,
-                                engine.now_ns(),
-                            )
-                            .with_arg("ring_ns", ring_lat)
-                            .with_arg("mul_ns", mul_lat)
-                            .with_arg("visible_ring_ns", visible_ring)
-                            .with_arg("banks", u64::from(banks.count))
-                            .with_arg("repeat", *repeat),
-                        );
-                    }
-                    // The overlap window is computed from the fault-free
-                    // compute latency; degradation applies to the residual
-                    // lumps afterwards (conservative — a slowed multiply
-                    // could hide more of the ring than we credit).
-                    self.emit(
-                        engine,
-                        log,
-                        fault,
-                        Phase::lump(
-                            Category::DataMovement,
-                            visible_ring,
-                            ring.energy_pj * *repeat as f64 * f64::from(*parallel),
-                            ring.bytes * *repeat as f64 * f64::from(*parallel),
-                        ),
-                    )?;
-                    self.emit(
-                        engine,
-                        log,
-                        fault,
-                        Phase::lump(Category::Arithmetic, mul_lat, mul_pj, 0.0),
-                    )?;
-                    i += 2;
-                    continue;
-                }
-            }
-            self.price(&steps[i], engine, log, fault)?;
-            i += 1;
-        }
-        Ok(())
-    }
-
-    /// Run a program with a full Chrome-trace timeline recorded; returns
-    /// the statistics plus a Chrome-tracing JSON document of the execution
-    /// (loadable in `chrome://tracing` or Perfetto).
-    ///
-    /// Serialization failures are propagated, not swallowed: a trace that
-    /// was asked for but cannot be produced is an error.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-    ) -> Result<(SimStats, ScopedStats, String), ObsError> {
-        let chrome = ChromeTraceSink::shared();
-        let (stats, scoped) = self.run_with_sink(program, SinkHandle::from_shared(chrome.clone()));
-        let trace = chrome.borrow().to_json_string()?;
-        Ok((stats, scoped, trace))
-    }
-
-    fn price(
-        &mut self,
-        step: &Step,
-        engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
-        fault: &mut FaultCtx<'_>,
-    ) -> Result<(), SimError> {
+    /// The lumps `step` costs on this architecture, from the cost models
+    /// and the memoized schedules. Scopes and repeats cost nothing here:
+    /// the emission loop walks them.
+    fn cost(&mut self, step: &Step) -> Lumps {
+        use Category::{Arithmetic, DataMovement, Other, Reduction};
         match *step {
-            Step::Scope(ref label) => {
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(LumpAction::Scope(label.to_string()));
-                }
-                engine.set_scope(label);
-            }
-
-            Step::Repeat { count, ref body, ref delta } => {
-                self.price_repeat(count, body, delta, engine, log, fault)?;
-            }
+            Step::Scope(_) | Step::Repeat { .. } => [None, None],
 
             Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
-                let (lat, pj) =
-                    self.pointwise(PimOp::Mul { a_bits, b_bits }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                let op = PimOp::Mul { a_bits, b_bits };
+                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
             }
             Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
-                let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                let op = PimOp::Add { bits };
+                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
             }
             Step::Exp { elems_per_bank, total_elems, bits, order } => {
-                let (lat, pj) =
-                    self.pointwise(PimOp::ExpTaylor { bits, order }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                let op = PimOp::ExpTaylor { bits, order };
+                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
             }
 
             Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
-                let (lat, pj) = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
-                self.emit(engine, log, fault, Phase::lump(Category::Reduction, lat, pj, 0.0))?;
+                let cost = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
+                [lump(Reduction, cost, 0.0), None]
             }
             Step::Recip { per_bank, total } => {
-                let (lat, pj) = match fault.as_deref_mut() {
-                    Some(sess)
-                        if self.arch.kind.has_acu() && !sess.broken_dividers().is_empty() =>
-                    {
-                        self.recip_degraded(per_bank, total, sess, engine.latency_scale())
-                    }
-                    _ => self.recip(per_bank, total),
-                };
-                self.emit(engine, log, fault, Phase::lump(Category::Reduction, lat, pj, 0.0))?;
+                [lump(Reduction, self.recip(per_bank, total), 0.0), None]
             }
 
             Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
@@ -568,124 +585,52 @@ impl Executor {
                     value_bits,
                     copies,
                 );
-                let lat = per_ns * count_per_bank as f64;
-                let pj = per_pj * total_count as f64;
+                let cost = (per_ns * count_per_bank as f64, per_pj * total_count as f64);
                 let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
-                self.emit(engine, log, fault, Phase::lump(Category::DataMovement, lat, pj, bytes))?;
+                [lump(DataMovement, cost, bytes), None]
             }
 
             Step::HostBroadcast { bytes, banks } => {
-                let (lat, pj) = self.host_broadcast(bytes, banks);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        lat,
-                        pj,
-                        bytes as f64 * f64::from(banks.max(1)),
-                    ),
-                )?;
+                let moved = bytes as f64 * f64::from(banks.max(1));
+                [lump(DataMovement, self.host_broadcast(bytes, banks), moved), None]
             }
             Step::HostScatter { total_bytes } => {
-                let (lat, pj) = self.host_scatter(total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                [lump(DataMovement, self.host_scatter(total_bytes), total_bytes as f64), None]
             }
 
             Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
-                let r = self.ring_step(banks, bytes_per_hop);
-                if engine.emitting() {
-                    self.emit_ring_hops(engine, banks, bytes_per_hop, repeat, &r);
-                }
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns * repeat as f64,
-                        r.energy_pj * repeat as f64 * f64::from(parallel),
-                        r.bytes * repeat as f64 * f64::from(parallel),
-                    ),
-                )?;
+                let r = self.schedule(ScheduleKey {
+                    pattern: Pattern::Ring,
+                    banks,
+                    bytes: bytes_per_hop,
+                });
+                let (n, p) = (repeat as f64, f64::from(parallel));
+                [lump(DataMovement, (r.latency_ns * n, r.energy_pj * n * p), r.bytes * n * p), None]
             }
             Step::OneToAll { src, banks, bytes, parallel } => {
-                let r = self.one_to_all(src, banks, bytes);
-                if engine.emitting() {
-                    engine.sink().instant(
-                        InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
-                            .with_arg("src_bank", u64::from(src))
-                            .with_arg("banks", u64::from(banks.count))
-                            .with_arg("bytes", bytes)
-                            .with_arg("slots", u64::from(r.slots)),
-                    );
-                }
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns,
-                        r.energy_pj * f64::from(parallel),
-                        r.bytes * f64::from(parallel),
-                    ),
-                )?;
+                let r =
+                    self.schedule(ScheduleKey { pattern: Pattern::OneToAll { src }, banks, bytes });
+                let p = f64::from(parallel);
+                [lump(DataMovement, (r.latency_ns, r.energy_pj * p), r.bytes * p), None]
             }
             Step::PairwiseReduceTree { banks, bytes, bits, elems, parallel } => {
-                let r = self.reduce_tree_moves(banks, bytes);
-                if engine.emitting() {
-                    self.emit_tree_hops(engine, banks, bytes, r.latency_ns);
-                }
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns,
-                        r.energy_pj * f64::from(parallel),
-                        r.bytes * f64::from(parallel),
-                    ),
-                )?;
+                let r = self.schedule(ScheduleKey { pattern: Pattern::Tree, banks, bytes });
+                let p = f64::from(parallel);
                 // One in-bank add per tree level.
                 let levels = 32 - banks.count.max(1).leading_zeros() as u64;
                 let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems, elems * levels);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::Reduction,
-                        lat * levels as f64,
-                        pj * f64::from(parallel),
-                        0.0,
-                    ),
-                )?;
+                [
+                    lump(DataMovement, (r.latency_ns, r.energy_pj * p), r.bytes * p),
+                    lump(Reduction, (lat * levels as f64, pj * p), 0.0),
+                ]
             }
 
             Step::BroadcastDup { bytes, banks } => {
-                let (lat, pj) = self.broadcast_dup(bytes, banks);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        lat,
-                        pj,
-                        bytes as f64 * f64::from(banks.max(1)),
-                    ),
-                )?;
+                let moved = bytes as f64 * f64::from(banks.max(1));
+                [lump(DataMovement, self.broadcast_dup(bytes, banks), moved), None]
             }
             Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
-                let (lat, pj) = match &self.buffer {
+                let cost = match &self.buffer {
                     Some(b) => (
                         b.inter_subarray_copy_ns(bytes_per_bank),
                         b.inter_subarray_copy_pj(total_bytes),
@@ -695,91 +640,79 @@ impl Executor {
                         self.rowclone.buffered_copy_energy_pj(total_bytes),
                     ),
                 };
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                [lump(DataMovement, cost, total_bytes as f64), None]
             }
             Step::ShuffleAll { total_bytes } => {
-                let (lat, pj) = self.shuffle_all(total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                [lump(DataMovement, self.shuffle_all(total_bytes), total_bytes as f64), None]
             }
 
             Step::MemTouch { bytes_per_bank, total_bytes } => {
-                let (lat, pj) = self.mem_touch(bytes_per_bank, total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::Other, lat, pj, total_bytes as f64),
-                )?;
+                let cost = self.mem_touch(bytes_per_bank, total_bytes);
+                [lump(Other, cost, total_bytes as f64), None]
             }
         }
-        Ok(())
     }
 
     /// Price `count` iterations of a repeat body.
     ///
     /// Three strategies, all denoting exactly the unrolled pricing:
     ///
-    /// * **replay** (zero deltas, nothing to emit, not already recording):
-    ///   price iteration 0 once while recording its lump stream, then
-    ///   [`Engine::replay_lumps`] the remaining `count - 1` iterations —
-    ///   the same f64 operations in the same order, so byte-identical
-    ///   statistics at O(body) step-walk cost;
-    /// * **in-place advance** (non-zero deltas, or emission is on): walk a
-    ///   scratch copy of the body per iteration, advancing its varying
-    ///   fields by the deltas — cache-hot, no per-step allocation;
+    /// * **replay** (zero deltas, nothing to emit, no session, not already
+    ///   recording): price iteration 0 once while recording its lump
+    ///   stream, then [`Engine::replay_lumps`] the remaining `count - 1`
+    ///   iterations — the same f64 operations in the same order, so
+    ///   byte-identical statistics at O(body) step-walk cost;
+    /// * **in-place advance** (non-zero deltas, or emission is on, or a
+    ///   session draws per lump): walk a scratch copy of the body per
+    ///   iteration, advancing its varying fields by the deltas — cache-hot,
+    ///   no per-step allocation;
     /// * **collapsed emission** (tracing with [`Executor::set_collapse_repeats`]):
     ///   iteration 0 emits normally, iterations 1..N run quiet and are
     ///   represented by one summary span carrying the collapsed count.
     ///
     /// Debug builds verify the replay against an actual re-pricing and the
     /// final scratch body against [`Step::at`].
-    fn price_repeat(
+    fn repeat(
         &mut self,
         count: u64,
         body: &[Step],
         delta: &[StepDelta],
-        engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
-        fault: &mut FaultCtx<'_>,
+        run: &mut Run<'_>,
     ) -> Result<(), SimError> {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
         let zero_delta = delta.iter().all(StepDelta::is_zero);
-        // A fault session disables the replay fast path: transient-flip
-        // draws advance per lump, so every iteration must be priced live.
-        if zero_delta && !engine.emitting() && log.is_none() && fault.is_none() {
-            let mut recorded = Vec::new();
-            self.run_segment(body, engine, &mut Some(&mut recorded), &mut None)?;
+        // Transient-flip draws advance per lump, so under a session every
+        // iteration is priced live.
+        if zero_delta && !run.engine.emitting() && run.log.is_none() && run.session.is_none() {
+            run.log = Some(Vec::new());
+            self.segment(body, run)?;
+            let recorded = run.log.take().unwrap_or_default();
             #[cfg(debug_assertions)]
-            let mut check = engine.clone();
-            engine.replay_lumps(&recorded, count - 1);
+            let mut check = Run::new(run.engine.clone(), None);
+            run.engine.replay_lumps(&recorded, count - 1);
             #[cfg(debug_assertions)]
             {
                 for _ in 1..count {
-                    let _ = self.run_segment(body, &mut check, &mut None, &mut None);
+                    let _ = self.segment(body, &mut check);
                 }
-                debug_assert_eq!(check.stats(), engine.stats(), "replayed repeat stats diverged");
                 debug_assert_eq!(
-                    check.scoped(),
-                    engine.scoped(),
+                    check.engine.stats(),
+                    run.engine.stats(),
+                    "replayed repeat stats diverged"
+                );
+                debug_assert_eq!(
+                    check.engine.scoped(),
+                    run.engine.scoped(),
                     "replayed repeat scopes diverged"
                 );
             }
             return Ok(());
         }
 
-        let collapse = self.collapse_repeats && count > 1 && engine.emitting() && log.is_none();
+        let collapse =
+            self.collapse_repeats && count > 1 && run.engine.emitting() && run.log.is_none();
         let mut scratch = body.to_vec();
         let mut summary_start = 0.0;
         for i in 0..count {
@@ -789,12 +722,13 @@ impl Executor {
                 }
             }
             if collapse && i == 1 {
-                summary_start = engine.now_ns();
-                engine.set_quiet(true);
+                summary_start = run.engine.now_ns();
+                run.engine.set_quiet(true);
             }
-            self.run_segment(&scratch, engine, log, fault)?;
+            self.segment(&scratch, run)?;
         }
         if collapse {
+            let engine = &mut run.engine;
             engine.set_quiet(false);
             engine.sink().span(
                 SpanEvent::new(
@@ -1055,162 +989,92 @@ impl Executor {
 
     // ---- scheduled/memoized communication ---------------------------------
 
-    fn ring_step(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.ring_cache.get(&key) {
-            return *r;
-        }
-        let ids = banks.to_vec();
-        let r = ring::ring_step(&self.map, &self.xfer, &ids, bytes);
-        self.ring_cache.insert(key, r);
-        r
+    fn schedule(&mut self, key: ScheduleKey) -> ScheduleResult {
+        let Self { schedules, map, xfer, .. } = self;
+        schedules.entry(key).or_insert_with(|| key.price(map, xfer)).cost
     }
 
-    fn one_to_all(&mut self, src: u32, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.broadcast_cache.get(&key) {
-            return *r;
-        }
-        let ids = banks.to_vec();
-        let r = one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &ids, bytes);
-        self.broadcast_cache.insert(key, r);
-        r
-    }
-
-    fn reduce_tree_moves(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.tree_cache.get(&key) {
-            return *r;
-        }
-        let ids = banks.to_vec();
-        let mut total = ScheduleResult::default();
-        let mut stride = 1usize;
-        while stride < ids.len() {
-            let hops: Vec<Hop> = pairwise_reduce_hops(&ids, stride, bytes);
-            let r = schedule_hops(&self.map, &self.xfer, &hops);
-            total.latency_ns += r.latency_ns;
-            total.energy_pj += r.energy_pj;
-            total.bytes += r.bytes;
-            total.slots += r.slots;
-            stride *= 2;
-        }
-        self.tree_cache.insert(key, total);
-        total
-    }
-
-    // ---- trace emission ---------------------------------------------------
-
-    /// Emit per-hop span events for one ring step starting at the engine's
-    /// current timestamp, plus a single summary span for the remaining
-    /// `repeat - 1` identical rounds. Per-hop detail is emitted for the
-    /// *first* occurrence of each ring topology only; later occurrences
-    /// collapse to one summary span (see `ring_detail_emitted`).
-    fn emit_ring_hops(
-        &mut self,
-        engine: &Engine,
-        banks: BankRange,
-        bytes: u64,
-        repeat: u64,
-        r: &ScheduleResult,
-    ) {
-        let scale = engine.latency_scale();
-        let base = engine.now_ns();
-        if !self.ring_detail_emitted.insert((banks.start, banks.count)) {
-            engine.sink().span(
-                SpanEvent::new(
-                    "ring",
-                    "ring",
-                    tracks::RING,
-                    base,
-                    r.latency_ns * repeat as f64 * scale,
-                )
-                .with_arg("banks", u64::from(banks.count))
-                .with_arg("bytes_per_hop", bytes)
-                .with_arg("slots", u64::from(r.slots))
-                .with_arg("rounds", repeat),
+    /// Trace detail of a step, emitted before its lumps run. A one-to-all
+    /// broadcast marks an instant. A ring or tree emits per-hop spans (plus
+    /// one summary span for the remaining `repeat - 1` identical ring
+    /// rounds) the first time this run meets its topology, and a single
+    /// summary span afterwards.
+    fn detail(&mut self, step: &Step, run: &mut Run<'_>) {
+        let (key, rounds) = match *step {
+            Step::RingBroadcast { banks, bytes_per_hop, repeat, .. } => {
+                (ScheduleKey { pattern: Pattern::Ring, banks, bytes: bytes_per_hop }, repeat)
+            }
+            Step::PairwiseReduceTree { banks, bytes, .. } => {
+                (ScheduleKey { pattern: Pattern::Tree, banks, bytes }, 1)
+            }
+            Step::OneToAll { src, banks, bytes, .. } => {
+                (ScheduleKey { pattern: Pattern::OneToAll { src }, banks, bytes }, 1)
+            }
+            _ => return,
+        };
+        let Self { schedules, map, xfer, .. } = self;
+        let schedule = schedules.entry(key).or_insert_with(|| key.price(map, xfer));
+        let r = schedule.cost;
+        let (engine, sink) = (&run.engine, run.engine.sink());
+        let (scale, base) = (engine.latency_scale(), engine.now_ns());
+        let (banks, bytes) = (u64::from(key.banks.count), key.bytes);
+        if let Pattern::OneToAll { src } = key.pattern {
+            sink.instant(
+                InstantEvent::new("one-to-all", "ring", tracks::RING, base)
+                    .with_arg("src_bank", u64::from(src))
+                    .with_arg("banks", banks)
+                    .with_arg("bytes", bytes)
+                    .with_arg("slots", u64::from(r.slots)),
             );
             return;
         }
-        let key = (banks.start, banks.count, bytes);
-        if !self.ring_hop_cache.contains_key(&key) {
-            let ids = banks.to_vec();
-            let hops: Vec<Hop> = ring::ring_step_hops(&ids, bytes);
-            let (_, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
-            self.ring_hop_cache.insert(key, placed);
+        if !run.detailed.insert((key.pattern, key.banks)) {
+            sink.span(match key.pattern {
+                Pattern::Ring => {
+                    let dur = r.latency_ns * rounds as f64 * scale;
+                    SpanEvent::new("ring", "ring", tracks::RING, base, dur)
+                        .with_arg("banks", banks)
+                        .with_arg("bytes_per_hop", bytes)
+                        .with_arg("slots", u64::from(r.slots))
+                        .with_arg("rounds", rounds)
+                }
+                _ => {
+                    SpanEvent::new("reduce-tree", "ring", tracks::RING, base, r.latency_ns * scale)
+                        .with_arg("banks", banks)
+                        .with_arg("bytes", bytes)
+                }
+            });
+            return;
         }
-        emit_hop_events(engine.sink(), &self.map, base, scale, &self.ring_hop_cache[&key]);
-        if repeat > 1 {
-            engine.sink().span(
+        let hops = schedule.hops.get_or_insert_with(|| key.placements(map, xfer));
+        emit_hop_events(sink, map, base, scale, hops);
+        if rounds > 1 {
+            sink.span(
                 SpanEvent::new(
-                    format!("ring x{}", repeat - 1),
+                    format!("ring x{}", rounds - 1),
                     "ring",
                     tracks::RING,
                     base + r.latency_ns * scale,
-                    r.latency_ns * (repeat - 1) as f64 * scale,
+                    r.latency_ns * (rounds - 1) as f64 * scale,
                 )
-                .with_arg("banks", u64::from(banks.count))
+                .with_arg("banks", banks)
                 .with_arg("bytes_per_hop", bytes)
                 .with_arg("slots", u64::from(r.slots)),
             );
         }
     }
 
-    /// Emit per-hop span events for the pairwise reduction tree: each
-    /// halving level's hops are placed by the slotted scheduler and offset
-    /// by the cumulative latency of the levels before it. As with rings,
-    /// only the first occurrence of a topology gets per-hop detail; later
-    /// occurrences emit one summary span of the scheduled latency.
-    fn emit_tree_hops(&mut self, engine: &Engine, banks: BankRange, bytes: u64, total_ns: f64) {
-        let scale = engine.latency_scale();
-        let base = engine.now_ns();
-        if !self.tree_detail_emitted.insert((banks.start, banks.count)) {
-            engine.sink().span(
-                SpanEvent::new("reduce-tree", "ring", tracks::RING, base, total_ns * scale)
-                    .with_arg("banks", u64::from(banks.count))
-                    .with_arg("bytes", bytes),
-            );
-            return;
-        }
-        let key = (banks.start, banks.count, bytes);
-        if !self.tree_hop_cache.contains_key(&key) {
-            let ids = banks.to_vec();
-            let mut all = Vec::new();
-            let mut offset = 0.0;
-            let mut stride = 1usize;
-            while stride < ids.len() {
-                let hops: Vec<Hop> = pairwise_reduce_hops(&ids, stride, bytes);
-                let (r, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
-                all.extend(placed.into_iter().map(|mut p| {
-                    p.start_ns += offset;
-                    p
-                }));
-                offset += r.latency_ns;
-                stride *= 2;
-            }
-            self.tree_hop_cache.insert(key, all);
-        }
-        emit_hop_events(engine.sink(), &self.map, base, scale, &self.tree_hop_cache[&key]);
-    }
-
     /// Expose the ring-step scheduler for ablation benches: cost of one
     /// full ring step over `banks` with `bytes` per hop.
     pub fn ring_step_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        self.ring_step(banks, bytes)
-    }
-
-    /// Validate a ring schedule invariant used by tests: the full ring hop
-    /// set of this architecture is conflict-free per slot (delegates to the
-    /// scheduler; the slot count must be ≥ the per-group serialization
-    /// lower bound).
-    pub fn ring_slots(&mut self, banks: BankRange, bytes: u64) -> u32 {
-        self.ring_step(banks, bytes).slots
+        self.schedule(ScheduleKey { pattern: Pattern::Ring, banks, bytes })
     }
 
     /// Expose the decoder's pairwise reduction-tree transfer cost for
     /// ablation benches (movement only; the in-bank adds are priced
     /// separately by [`Step::PairwiseReduceTree`]).
     pub fn reduce_tree_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        self.reduce_tree_moves(banks, bytes)
+        self.schedule(ScheduleKey { pattern: Pattern::Tree, banks, bytes })
     }
 }
 
@@ -1219,6 +1083,7 @@ mod tests {
     use super::*;
     use transpim_dataflow::ir::Precision;
     use transpim_dataflow::{layer_flow, token_flow};
+    use transpim_obs::ChromeTraceSink;
     use transpim_transformer::workload::Workload;
 
     fn run(kind: ArchKind, token: bool, w: &Workload) -> SimStats {
@@ -1228,6 +1093,16 @@ mod tests {
             if token { token_flow::compile(w, banks) } else { layer_flow::compile(w, banks) };
         let mut ex = Executor::new(arch);
         ex.run(&prog).0
+    }
+
+    /// Price `prog` with a Chrome trace attached; returns the statistics
+    /// and the trace document.
+    fn traced(arch: ArchConfig, prog: &Program) -> (SimStats, ScopedStats, String) {
+        let chrome = ChromeTraceSink::shared();
+        let (stats, scoped) =
+            Executor::new(arch).run_with_sink(prog, SinkHandle::from_shared(chrome.clone()));
+        let trace = chrome.borrow().to_json_string().expect("trace must serialize");
+        (stats, scoped, trace)
     }
 
     fn small_workload() -> Workload {
@@ -1367,8 +1242,7 @@ mod tests {
         let banks = arch.hbm.geometry.total_banks();
         let prog = token_flow::compile(&w, banks);
         let (plain, plain_scoped) = Executor::new(arch.clone()).run(&prog);
-        let (traced, traced_scoped, trace) =
-            Executor::new(arch).run_traced(&prog).expect("trace must serialize");
+        let (traced, traced_scoped, trace) = traced(arch, &prog);
         assert_eq!(plain, traced, "tracing must not perturb the statistics");
         assert_eq!(plain_scoped, traced_scoped);
         let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
@@ -1435,6 +1309,26 @@ mod tests {
         assert_eq!(events.iter().filter(|e| e.name == "reduce-tree").count(), 2);
     }
 
+    #[test]
+    fn one_to_all_schedules_are_keyed_by_source() {
+        // The broadcast prices its source: whether the source sits in the
+        // target stack and whose write energy is skipped. A schedule cached
+        // for one source must not be served for another.
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let last = arch.hbm.geometry.total_banks() - 1;
+        let banks = BankRange { start: 0, count: 8 };
+        let program = |src| {
+            let mut prog = Program::new();
+            prog.push(Step::OneToAll { src, banks, bytes: 4096, parallel: 1 });
+            prog
+        };
+        let mut reused = Executor::new(arch.clone());
+        reused.run(&program(0));
+        let (warm, _) = reused.run(&program(last));
+        let (fresh, _) = Executor::new(arch).run(&program(last));
+        assert_eq!(warm, fresh, "a cached one-to-all schedule leaked across sources");
+    }
+
     fn decode_workload() -> Workload {
         let mut w = Workload::pubmed();
         w.model.encoder_layers = 1;
@@ -1483,8 +1377,8 @@ mod tests {
         let banks = arch.hbm.geometry.total_banks();
         let prog = token_flow::compile(&w, banks);
         let unrolled = prog.unroll();
-        let (s1, sc1, t1) = Executor::new(arch.clone()).run_traced(&prog).unwrap();
-        let (s2, sc2, t2) = Executor::new(arch).run_traced(&unrolled).unwrap();
+        let (s1, sc1, t1) = traced(arch.clone(), &prog);
+        let (s2, sc2, t2) = traced(arch, &unrolled);
         assert_eq!(s1, s2);
         assert_eq!(sc1, sc2);
         assert_eq!(t1, t2, "default tracing must not observe the compression");

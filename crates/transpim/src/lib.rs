@@ -10,10 +10,13 @@
 //!   NBP (Newton-like near-bank processing),
 //! * [`calib`] — every constant that is not in the paper's Table I/II,
 //!   with its provenance and the observable it was calibrated against,
-//! * [`exec`] — the execution engine: prices each dataflow [`Step`] on an
-//!   architecture and drives the `transpim-hbm` phase engine,
-//! * [`accelerator`] — one-call simulation of a workload × dataflow ×
-//!   architecture combination,
+//! * [`exec`] — the execution engine: a per-step cost function over the
+//!   architecture's cost models and one schedule cache, and the emission
+//!   loop that drives the `transpim-hbm` phase engine,
+//! * [`accelerator`] — the single simulation path: [`Accelerator::run`]
+//!   takes an [`accelerator::Simulation`] request (workload, dataflow,
+//!   sink, optional fault scenario, optional reused executor), compiles,
+//!   prices and returns the report,
 //! * [`report`] — the [`report::SimReport`] with latency, energy,
 //!   category breakdown, bandwidth, power and utilization (everything the
 //!   paper's Figures 10–15 plot),

@@ -13,8 +13,8 @@
 //! ```
 
 use std::process::ExitCode;
-use transpim::accelerator::Accelerator;
-use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
+use transpim::accelerator::{Accelerator, Simulation};
+use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
 use transpim_bench::{run_grid, GridCell};
 
 /// Capacity warning helper (token dataflow per-bank working set).
@@ -362,11 +362,7 @@ fn main() -> ExitCode {
 
     // Optional IR dump: the compiled dataflow program, before pricing.
     if let Some(path) = &opts.dump_ir {
-        let banks = acc.arch().hbm.geometry.total_banks();
-        let prog = match opts.dataflow {
-            DataflowKind::Token => transpim_dataflow::token_flow::compile(&opts.workload, banks),
-            DataflowKind::Layer => transpim_dataflow::layer_flow::compile(&opts.workload, banks),
-        };
+        let prog = acc.compile(&opts.workload, opts.dataflow);
         match serde_json::to_string_pretty(&prog) {
             Ok(json) => {
                 if let Err(e) = std::fs::write(path, json) {
@@ -394,27 +390,19 @@ fn main() -> ExitCode {
     let chrome = opts.trace.as_ref().map(|_| ChromeTraceSink::shared());
     let metrics = opts.metrics.as_ref().map(|_| MetricsSink::shared());
     let mut handles: Vec<SinkHandle> = Vec::new();
-    if let Some(c) = &chrome {
-        handles.push(SinkHandle::from_shared(c.clone()));
-    }
-    if let Some(m) = &metrics {
-        handles.push(SinkHandle::from_shared(m.clone()));
-    }
-    let sink = match handles.len() {
-        0 => SinkHandle::null(),
-        1 => handles.pop().expect("one handle"),
-        _ => SinkHandle::new(FanoutSink::new(handles)),
+    handles.extend(chrome.clone().map(SinkHandle::from_shared));
+    handles.extend(metrics.clone().map(SinkHandle::from_shared));
+    let sim = Simulation {
+        sink: SinkHandle::fanout(handles),
+        faults: scenario.as_ref(),
+        ..Simulation::new(&opts.workload, opts.dataflow)
     };
-
-    let report = match &scenario {
-        Some(s) => match acc.simulate_degraded_with_sink(&opts.workload, opts.dataflow, s, sink) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        None => acc.simulate_with_sink(&opts.workload, opts.dataflow, sink),
+    let report = match acc.run(sim) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
+        }
     };
     println!("{}", report.summary());
     if let Some(f) = &report.faults {

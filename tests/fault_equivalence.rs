@@ -11,7 +11,7 @@
 //!   builds its own session and the flip stream is a pure function of
 //!   `(seed, lump sequence)`.
 
-use transpim::accelerator::Accelerator;
+use transpim::accelerator::{Accelerator, Simulation};
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::fault::{EccScheme, Fault, FaultScenario};
 use transpim::report::DataflowKind;
@@ -33,12 +33,8 @@ fn render(acc: &Accelerator, w: &Workload, scenario: Option<&FaultScenario>) -> 
         SinkHandle::from_shared(chrome.clone()),
         SinkHandle::from_shared(metrics.clone()),
     ]));
-    let report = match scenario {
-        Some(s) => acc
-            .simulate_degraded_with_sink(w, DataflowKind::Token, s, sink)
-            .expect("scenario is correctable"),
-        None => acc.simulate_with_sink(w, DataflowKind::Token, sink),
-    };
+    let sim = Simulation { sink, faults: scenario, ..Simulation::new(w, DataflowKind::Token) };
+    let report = acc.run(sim).expect("scenario is correctable");
     let mut doc = report.to_json().expect("serialize report");
     doc.push('\n');
     doc.push_str(&chrome.borrow().to_json_string().expect("serialize trace"));

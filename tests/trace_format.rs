@@ -3,9 +3,9 @@
 //! time-ordered, categorized with the simulator's own labels), and
 //! attaching a null sink must leave the simulation bit-for-bit unchanged.
 
-use transpim::accelerator::Accelerator;
+use transpim::accelerator::{Accelerator, Simulation};
 use transpim::arch::{ArchConfig, ArchKind};
-use transpim::report::DataflowKind;
+use transpim::report::{DataflowKind, SimReport};
 use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
 use transpim_hbm::stats::Category;
 use transpim_transformer::workload::Workload;
@@ -16,10 +16,18 @@ fn small_workload() -> Workload {
     w
 }
 
+/// Simulate with a Chrome trace attached; the report and the trace document.
+fn simulate_traced(acc: &Accelerator, w: &Workload, df: DataflowKind) -> (SimReport, String) {
+    let chrome = ChromeTraceSink::shared();
+    let sink = SinkHandle::from_shared(chrome.clone());
+    let report = acc.run(Simulation { sink, ..Simulation::new(w, df) }).expect("fault-free run");
+    let trace = chrome.borrow().to_json_string().expect("trace serializes");
+    (report, trace)
+}
+
 fn traced_json(kind: ArchKind) -> String {
     let acc = Accelerator::new(ArchConfig::new(kind));
-    let (_, trace) =
-        acc.simulate_traced(&small_workload(), DataflowKind::Token).expect("trace serializes");
+    let (_, trace) = simulate_traced(&acc, &small_workload(), DataflowKind::Token);
     trace
 }
 
@@ -132,10 +140,11 @@ fn null_sink_runs_are_bit_identical_to_untraced_runs() {
         let w = small_workload();
         for df in DataflowKind::ALL {
             let plain = acc.simulate(&w, df);
-            let nulled = acc.simulate_with_sink(&w, df, SinkHandle::null());
+            let sink = SinkHandle::null();
+            let nulled = acc.run(Simulation { sink, ..Simulation::new(&w, df) }).unwrap();
             assert_eq!(plain.stats, nulled.stats, "{kind:?}/{df:?} stats diverged");
             assert_eq!(plain.scoped, nulled.scoped, "{kind:?}/{df:?} scoped stats diverged");
-            let (traced, _) = acc.simulate_traced(&w, df).expect("trace serializes");
+            let (traced, _) = simulate_traced(&acc, &w, df);
             assert_eq!(plain.stats, traced.stats, "{kind:?}/{df:?} tracing perturbed stats");
         }
     }
@@ -152,7 +161,8 @@ fn metrics_sink_aggregates_cover_every_emitting_category() {
         SinkHandle::from_shared(chrome.clone()),
         SinkHandle::from_shared(metrics.clone()),
     ]));
-    acc.simulate_with_sink(&small_workload(), DataflowKind::Token, sink);
+    let w = small_workload();
+    acc.run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) }).unwrap();
 
     let flat = metrics.borrow().to_flat();
     for cat in ["data-movement", "arithmetic", "reduction"] {
