@@ -142,11 +142,15 @@ impl HbmGeometry {
         f64::from(self.subarray_cols) / f64::from(self.row_bits())
     }
 
-    /// Check the structural dimensions for simulation use.
+    /// Check the structural dimensions for simulation use: every dimension
+    /// is positive, and every count the simulator indexes with a `u32` —
+    /// channels, bank groups, banks, row bits and the
+    /// [`crate::resource::ResourceMap`] id space — fits one.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::NonPositive`] naming the first zero dimension.
+    /// [`ConfigError::NonPositive`] naming the first zero dimension;
+    /// [`ConfigError::OutOfRange`] naming the first count past `u32::MAX`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let dims = [
             ("geometry.stacks", self.stacks),
@@ -164,6 +168,21 @@ impl HbmGeometry {
                 return Err(ConfigError::NonPositive(name));
             }
         }
+        // Outermost level first, so each product of two checked factors
+        // stays inside u64.
+        let fits = |name: &str, n: u64| match u32::try_from(n) {
+            Ok(_) => Ok(n),
+            Err(_) => Err(ConfigError::OutOfRange(format!(
+                "geometry {name} {n} exceeds the simulator's u32 index range"
+            ))),
+        };
+        let channels =
+            fits("channel count", u64::from(self.stacks) * u64::from(self.channels_per_stack))?;
+        let groups = fits("bank-group count", channels * u64::from(self.groups_per_channel))?;
+        let banks = fits("bank count", groups * u64::from(self.banks_per_group))?;
+        let stacks = u64::from(self.stacks);
+        fits("resource id count", banks + 2 * groups + channels + stacks + 1)?;
+        fits("row bit count", u64::from(self.row_bytes) * 8)?;
         Ok(())
     }
 
@@ -327,5 +346,16 @@ mod tests {
         assert!(g.validate().is_ok());
         let err = HbmGeometry { banks_per_group: 0, ..g }.validate().expect_err("zero dimension");
         assert!(err.to_string().contains("banks_per_group"));
+        // 2^24 stacks of 256 banks is exactly 2^32 banks: one past u32.
+        let err = HbmGeometry::with_stacks(1 << 24).validate().expect_err("2^32 banks");
+        assert!(matches!(&err, ConfigError::OutOfRange(m) if m.contains("bank count 4294967296")));
+        // Half as many stacks leave room for the other resource ids; just
+        // under 2^24 stacks fit the banks but not the whole id space.
+        let g = HbmGeometry::with_stacks(u32::MAX / 256 / 2);
+        assert!(g.validate().is_ok());
+        let err = HbmGeometry::with_stacks(u32::MAX / 256).validate().expect_err("id space");
+        assert!(err.to_string().contains("resource id count"));
+        let err = HbmGeometry { row_bytes: 1 << 29, ..g }.validate().expect_err("row bits");
+        assert!(err.to_string().contains("row bit count"));
     }
 }

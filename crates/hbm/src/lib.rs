@@ -12,15 +12,15 @@
 //!   buses, channel buses, ring links, stack links, the host bus),
 //! * [`command`] — DRAM command-level trace expansion and replay (pins the
 //!   closed-form costs to command-accurate behavior),
-//! * [`engine`] — a discrete-event engine that replays phases of operations
-//!   against those resources and accounts latency, energy, bytes moved, and
+//! * [`engine`] — a lump accumulator that runs closed-form priced phases
+//!   back to back and accounts latency, energy, bytes moved, and
 //!   per-category busy time,
 //! * [`stats`] — the accounting types shared with the accelerator crates.
 //!
 //! The engine works at the granularity at which the paper's modified
-//! Ramulator inserts commands: one event per row-parallel PIM batch, per ACU
-//! reduction stream, or per bus transfer, with closed-form latency/energy for
-//! each derived from the Table I constants.
+//! Ramulator inserts commands: one [`engine::Lump`] per row-parallel PIM
+//! batch, per ACU reduction stream, or per communication step, with
+//! closed-form latency/energy for each derived from the Table I constants.
 //!
 //! # Example
 //!
@@ -43,7 +43,7 @@ pub mod timing;
 
 pub use config::{ConfigError, HbmConfig};
 pub use energy::EnergyParams;
-pub use engine::{Engine, LumpAction, Phase, PhaseOp};
+pub use engine::{Engine, Lump, LumpAction};
 pub use geometry::{BankCoord, BankId, HbmGeometry};
 pub use resource::{ResourceId, ResourceMap};
 pub use stats::{Category, SimStats};

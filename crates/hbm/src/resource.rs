@@ -1,9 +1,9 @@
 //! Contended hardware resources of the TransPIM memory system and routing of
 //! data transfers across them.
 //!
-//! A transfer between two banks (or from the host to a bank) occupies every
-//! bus segment along its path for its duration; the engine serializes
-//! operations that share a segment. The segments follow Figure 2 / Figure 6
+//! A transfer between two banks occupies every bus segment along its path
+//! for its duration; the ring scheduler in `transpim-acu` serializes hops
+//! that share a segment. The segments follow Figure 2 / Figure 6
 //! of the paper:
 //!
 //! * per-bank ring-broadcast links (dedicated 256-bit neighbor links, only
@@ -146,11 +146,6 @@ impl ResourceMap {
     /// Bus parameters.
     pub fn bus(&self) -> &BusParams {
         &self.bus
-    }
-
-    /// Whether dedicated ring links are present.
-    pub fn has_ring_links(&self) -> bool {
-        self.ring_links
     }
 
     /// Total number of distinct resources (banks + groups + channels +
@@ -303,42 +298,6 @@ impl ResourceMap {
         bw = bw.min(self.bus.stack_gbs).min(self.bus.host_gbs);
         Route { resources, bandwidth_gbs: bw }
     }
-
-    /// Route a host→bank load (weights, inputs). Occupies the host bus, the
-    /// stack link and the channel bus of the destination.
-    pub fn route_from_host(&self, dst: BankId) -> Route {
-        let g = &self.geometry;
-        let c = g.coord(dst);
-        let resources = vec![
-            self.host_bus(),
-            self.stack_link(c.stack),
-            self.channel_bus(g.channel_of(dst)),
-            self.group_bus(g.group_of(dst)),
-            self.bank(dst),
-        ];
-        let bw = self
-            .bus
-            .host_gbs
-            .min(self.bus.stack_gbs)
-            .min(self.bus.channel_gbs)
-            .min(self.bus.group_gbs);
-        Route { resources, bandwidth_gbs: bw }
-    }
-
-    /// Route a host→channel broadcast write: the data crosses the host bus
-    /// and stack link once and is written to all banks of the channel
-    /// simultaneously (the PIM memory controller drives the shared channel
-    /// bus with all target rows open). Bank resources are intentionally not
-    /// enumerated; the caller models per-bank write energy separately.
-    pub fn route_host_broadcast(&self, stack: u32, channel: u32) -> Route {
-        let resources = vec![
-            self.host_bus(),
-            self.stack_link(stack),
-            self.channel_bus(stack * self.geometry.channels_per_stack + channel),
-        ];
-        let bw = self.bus.host_gbs.min(self.bus.stack_gbs).min(self.bus.channel_gbs);
-        Route { resources, bandwidth_gbs: bw }
-    }
 }
 
 #[cfg(test)]
@@ -467,13 +426,5 @@ mod tests {
         let m = map(true);
         let r = m.route(BankId(0), BankId(1));
         assert!((r.transfer_ns(1600.0) - 100.0).abs() < 1e-9); // 1600 B at 16 GB/s
-    }
-
-    #[test]
-    fn host_broadcast_route_is_channel_wide() {
-        let m = map(true);
-        let r = m.route_host_broadcast(0, 3);
-        assert_eq!(r.resources.len(), 3);
-        assert_eq!(r.bandwidth_gbs, 32.0);
     }
 }

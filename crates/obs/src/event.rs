@@ -11,8 +11,8 @@ use std::borrow::Cow;
 /// Identifier of one timeline row ("thread" in Chrome-trace terms).
 ///
 /// Emitters pick the layout; the simulator reserves low ids for breakdown
-/// categories, one row for ring-broadcast hops, and a range for
-/// per-resource occupancy (see `transpim_hbm::engine::tracks`).
+/// categories, one row for ring-broadcast hops, and a range for per-bank
+/// hop occupancy (see `transpim_hbm::engine::tracks`).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -165,13 +165,6 @@ impl<'a> SpanEvent<'a> {
         self.args.push(key, value.into());
         self
     }
-
-    /// Mark this span as summarizing `count` collapsed repetitions (repeat
-    /// collapsing keeps traces bounded for long decode loops; the count
-    /// lets viewers and post-processors recover the multiplicity).
-    pub fn with_count(self, count: u64) -> Self {
-        self.with_arg("count", count)
-    }
 }
 
 /// A point-in-time marker on a track.
@@ -255,12 +248,6 @@ mod tests {
             args,
             [("energy_pj", &ArgValue::Num(10.0)), ("label", &ArgValue::Str("a".into()))]
         );
-    }
-
-    #[test]
-    fn with_count_attaches_count_arg() {
-        let s = SpanEvent::new("repeat x7", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
-        assert_eq!(s.args.iter().collect::<Vec<_>>(), [("count", &ArgValue::Num(7.0))]);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a [`ModelConfig`] shape cannot be simulated.
+/// Why a [`ModelConfig`] (or a [`crate::workload::Workload`] around it)
+/// cannot be simulated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// A width or head count that must be positive is zero.
@@ -30,6 +31,16 @@ pub enum ModelError {
         /// Attention heads `h`.
         heads: usize,
     },
+    /// A workload length outside `min..=u32::MAX`, the range the
+    /// simulator's sharding indexes.
+    OutOfRange {
+        /// Workload field name.
+        field: &'static str,
+        /// The rejected value.
+        value: usize,
+        /// Smallest accepted value.
+        min: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -38,6 +49,9 @@ impl fmt::Display for ModelError {
             ModelError::Zero(field) => write!(f, "model field {field} must be positive"),
             ModelError::UnevenHeads { d_model, heads } => {
                 write!(f, "model d_model {d_model} is not divisible by heads {heads}")
+            }
+            ModelError::OutOfRange { field, value, min } => {
+                write!(f, "workload {field} {value} is outside {min}..={}", u32::MAX)
             }
         }
     }

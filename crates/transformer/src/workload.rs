@@ -13,7 +13,7 @@
 //! are synthetic (see DESIGN.md substitutions): simulated cost depends only
 //! on lengths and shapes.
 
-use crate::model::ModelConfig;
+use crate::model::{ModelConfig, ModelError};
 use serde::{Deserialize, Serialize};
 
 /// One evaluation workload: a model plus sequence/decode lengths and the
@@ -121,6 +121,27 @@ impl Workload {
         }
     }
 
+    /// Check the workload for simulation use: the model shape, then
+    /// `1 ≤ batch, seq_len ≤ u32::MAX` and `decode_len ≤ u32::MAX` (the
+    /// sharding indexes sequences and tokens with `u32`).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        self.model.validate()?;
+        for (field, value, min) in [
+            ("batch", self.batch, 1),
+            ("seq_len", self.seq_len, 1),
+            ("decode_len", self.decode_len, 0),
+        ] {
+            if value < min || u32::try_from(value).is_err() {
+                return Err(ModelError::OutOfRange { field, value, min });
+            }
+        }
+        Ok(())
+    }
+
     /// Total tokens per batch (`batch × L`).
     pub fn batch_tokens(&self) -> u64 {
         (self.batch * self.seq_len) as u64
@@ -160,6 +181,26 @@ mod tests {
         assert_eq!(lens, vec![128, 512, 4096, 6144, 1024]);
         assert_eq!(suite[2].decode_len, 256);
         assert_eq!(suite[4].model.name, "gpt2-medium");
+    }
+
+    #[test]
+    fn validate_bounds_lengths_to_u32() {
+        for w in Workload::paper_suite() {
+            assert_eq!(w.validate(), Ok(()), "{}", w.name);
+        }
+        let max = u32::MAX as usize;
+        let edge = Workload { batch: max, seq_len: max, decode_len: max, ..Workload::imdb() };
+        assert_eq!(edge.validate(), Ok(()));
+        let err = Workload { seq_len: max + 1, ..Workload::imdb() }.validate().unwrap_err();
+        assert_eq!(err, ModelError::OutOfRange { field: "seq_len", value: max + 1, min: 1 });
+        assert_eq!(err.to_string(), "workload seq_len 4294967296 is outside 1..=4294967295");
+        let err = Workload { batch: 0, ..Workload::imdb() }.validate().unwrap_err();
+        assert_eq!(err, ModelError::OutOfRange { field: "batch", value: 0, min: 1 });
+        let err = Workload { decode_len: max + 1, ..Workload::lm() }.validate().unwrap_err();
+        assert!(matches!(err, ModelError::OutOfRange { field: "decode_len", min: 0, .. }));
+        let mut bad = Workload { batch: 0, ..Workload::imdb() };
+        bad.model.heads = 0;
+        assert_eq!(bad.validate(), Err(ModelError::Zero("heads")), "the model is checked first");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use transpim_acu::ring::{
 };
 use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
 use transpim_fault::{FaultSession, FlipOutcome};
-use transpim_hbm::engine::{tracks, Engine, LumpAction, Phase};
+use transpim_hbm::engine::{tracks, Engine, Lump, LumpAction};
 use transpim_hbm::geometry::BankId;
 use transpim_hbm::resource::ResourceMap;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -66,12 +66,6 @@ pub struct Executor {
     /// `map`, so reuse across runs never changes a priced number or an
     /// emitted event.
     schedules: HashMap<ScheduleKey, Schedule>,
-    /// When tracing, collapse iterations 1..N of a [`Step::Repeat`] into a
-    /// single summary span instead of emitting every iteration's phases —
-    /// keeps trace size O(compiled steps) for long decode loops. Off by
-    /// default so traced compressed runs stay byte-identical to traced
-    /// unrolled runs.
-    collapse_repeats: bool,
     /// Whether [`Executor::apply_ring_faults`] rewired the resource map.
     /// A degraded executor prices a different machine than any
     /// [`ArchConfig`] describes, so it is never reused across cells.
@@ -160,15 +154,6 @@ struct Schedule {
     hops: Option<Vec<HopPlacement>>,
 }
 
-/// One priced lump: the unit the engine runs and the replay log records.
-#[derive(Debug, Clone, Copy)]
-struct Lump {
-    category: Category,
-    latency_ns: f64,
-    energy_pj: f64,
-    bytes: f64,
-}
-
 /// The lumps one step costs — at most two (a reduction tree moves, then
 /// adds).
 type Lumps = [Option<Lump>; 2];
@@ -253,7 +238,6 @@ impl Executor {
             xfer,
             stream_floor_gbs,
             schedules: HashMap::new(),
-            collapse_repeats: false,
             map_faulted: false,
         }
     }
@@ -263,24 +247,17 @@ impl Executor {
         &self.arch
     }
 
-    /// Collapse traced repeat iterations 1..N into one summary span (see
-    /// the `collapse_repeats` field). Statistics are unaffected; only
-    /// span/counter emission changes.
-    pub fn set_collapse_repeats(&mut self, collapse: bool) {
-        self.collapse_repeats = collapse;
-    }
-
-    /// Run a program, returning global and per-scope statistics. Phase
+    /// Run a program, returning global and per-scope statistics. Lump
     /// latencies include the DRAM refresh stretch (each bank loses `t_RFC`
     /// of every `t_REFI`).
     pub fn run(&mut self, program: &Program) -> (SimStats, ScopedStats) {
         self.run_with_sink(program, SinkHandle::null())
     }
 
-    /// [`Executor::run`] with an observability sink attached: phase spans,
-    /// per-resource occupancy counters and per-hop ring events are emitted
-    /// to `sink` as the engine executes. The statistics are bit-for-bit
-    /// those of [`Executor::run`].
+    /// [`Executor::run`] with an observability sink attached: lump spans,
+    /// per-category utilization counters and per-hop ring events are
+    /// emitted to `sink` as the engine executes. The statistics are
+    /// bit-for-bit those of [`Executor::run`].
     pub fn run_with_sink(
         &mut self,
         program: &Program,
@@ -426,7 +403,7 @@ impl Executor {
     /// Gate a lump through the fault session (when one is attached), record
     /// it for replay (when recording) and run it. Every lump the executor
     /// prices flows through here, so a recorded repeat body replays the
-    /// exact phase stream.
+    /// exact lump stream.
     ///
     /// # Errors
     ///
@@ -441,11 +418,10 @@ impl Executor {
             }
             lump = self.degrade(&run.engine, sess, lump)?;
         }
-        let Lump { category, latency_ns, energy_pj, bytes } = lump;
         if let Some(log) = &mut run.log {
-            log.push(LumpAction::Lump { category, latency_ns, energy_pj, bytes });
+            log.push(LumpAction::Lump(lump));
         }
-        run.engine.run(Phase::lump(category, latency_ns, energy_pj, bytes));
+        run.engine.run(lump);
         Ok(())
     }
 
@@ -655,7 +631,8 @@ impl Executor {
 
     /// Price `count` iterations of a repeat body.
     ///
-    /// Three strategies, all denoting exactly the unrolled pricing:
+    /// Two strategies, both denoting exactly the unrolled pricing and
+    /// emitting exactly the unrolled trace:
     ///
     /// * **replay** (zero deltas, nothing to emit, no session, not already
     ///   recording): price iteration 0 once while recording its lump
@@ -665,10 +642,7 @@ impl Executor {
     /// * **in-place advance** (non-zero deltas, or emission is on, or a
     ///   session draws per lump): walk a scratch copy of the body per
     ///   iteration, advancing its varying fields by the deltas — cache-hot,
-    ///   no per-step allocation;
-    /// * **collapsed emission** (tracing with [`Executor::set_collapse_repeats`]):
-    ///   iteration 0 emits normally, iterations 1..N run quiet and are
-    ///   represented by one summary span carrying the collapsed count.
+    ///   no per-step allocation.
     ///
     /// Debug builds verify the replay against an actual re-pricing and the
     /// final scratch body against [`Step::at`].
@@ -711,35 +685,14 @@ impl Executor {
             return Ok(());
         }
 
-        let collapse =
-            self.collapse_repeats && count > 1 && run.engine.emitting() && run.log.is_none();
         let mut scratch = body.to_vec();
-        let mut summary_start = 0.0;
         for i in 0..count {
             if i > 0 {
                 for (s, d) in scratch.iter_mut().zip(delta) {
                     s.advance(d);
                 }
             }
-            if collapse && i == 1 {
-                summary_start = run.engine.now_ns();
-                run.engine.set_quiet(true);
-            }
             self.segment(&scratch, run)?;
-        }
-        if collapse {
-            let engine = &mut run.engine;
-            engine.set_quiet(false);
-            engine.sink().span(
-                SpanEvent::new(
-                    format!("repeat x{}", count - 1),
-                    "repeat",
-                    tracks::RING,
-                    summary_start,
-                    engine.now_ns() - summary_start,
-                )
-                .with_count(count - 1),
-            );
         }
         #[cfg(debug_assertions)]
         if count > 1 {
@@ -1369,9 +1322,8 @@ mod tests {
 
     #[test]
     fn traced_compressed_matches_traced_unrolled() {
-        // With collapsing off (the default), tracing a compressed program
-        // walks every iteration and must produce a byte-identical trace
-        // document.
+        // Tracing a compressed program walks every iteration and must
+        // produce a byte-identical trace document.
         let w = decode_workload();
         let arch = ArchConfig::new(ArchKind::TransPim);
         let banks = arch.hbm.geometry.total_banks();
@@ -1381,50 +1333,6 @@ mod tests {
         let (s2, sc2, t2) = traced(arch, &unrolled);
         assert_eq!(s1, s2);
         assert_eq!(sc1, sc2);
-        assert_eq!(t1, t2, "default tracing must not observe the compression");
-    }
-
-    #[test]
-    fn collapse_repeats_bounds_trace_without_touching_stats() {
-        let body = vec![
-            Step::scope("dec.attn"),
-            Step::RingBroadcast {
-                banks: BankRange { start: 0, count: 8 },
-                bytes_per_hop: 256,
-                repeat: 2,
-                parallel: 1,
-            },
-            Step::MemTouch { bytes_per_bank: 64, total_bytes: 512 },
-        ];
-        // Affine growth of the hop payload, as KV rings grow per token.
-        let delta = vec![
-            StepDelta::none(),
-            StepDelta { d: [16, 0, 0], len: 2 },
-            StepDelta { d: [0, 0, 0], len: 2 },
-        ];
-        let mut prog = transpim_dataflow::ir::Program::new();
-        prog.push(Step::repeat(40, body, delta));
-
-        let run = |collapse: bool| {
-            let mut ex = Executor::new(ArchConfig::new(ArchKind::TransPim));
-            ex.set_collapse_repeats(collapse);
-            let chrome = ChromeTraceSink::shared();
-            let stats = ex.run_with_sink(&prog, SinkHandle::from_shared(chrome.clone()));
-            let events = chrome.borrow().sorted_events();
-            (stats, events)
-        };
-        let (full_stats, full_events) = run(false);
-        let (col_stats, col_events) = run(true);
-        assert_eq!(full_stats, col_stats, "collapsing is a tracing concern only");
-        assert!(
-            col_events.iter().any(|e| e.name == "repeat x39"),
-            "summary span should carry the collapsed count"
-        );
-        assert!(
-            col_events.len() * 4 < full_events.len(),
-            "collapsed trace ({}) should be far smaller than full ({})",
-            col_events.len(),
-            full_events.len()
-        );
+        assert_eq!(t1, t2, "tracing must not observe the compression");
     }
 }

@@ -14,42 +14,13 @@
 
 use std::process::ExitCode;
 use transpim::accelerator::{Accelerator, Simulation};
-use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
-use transpim_bench::{run_grid, GridCell};
-
-/// Capacity warning helper (token dataflow per-bank working set).
-mod transpim_repro_capacity {
-    use transpim::arch::ArchConfig;
-    use transpim_dataflow::footprint::token_flow_footprint;
-    use transpim_dataflow::ir::Precision;
-    use transpim_dataflow::sharding::Sharding;
-    use transpim_transformer::workload::Workload;
-
-    pub fn check(w: &Workload, arch: &ArchConfig) {
-        let banks = arch.hbm.geometry.total_banks();
-        let sharding = Sharding::new(banks, w.batch as u32, w.seq_len as u32);
-        let per_seq = u64::from(sharding.sequences[0].banks.count);
-        let f = token_flow_footprint(
-            &w.model,
-            w.seq_len as u64,
-            w.decode_len as u64,
-            per_seq,
-            Precision::default(),
-        );
-        let bank = arch.hbm.geometry.bank_bytes();
-        if !f.fits(bank) {
-            eprintln!(
-                "warning: per-bank working set {:.1} MiB exceeds the {:.0} MiB bank                  (weights {:.1} + scores {:.1} MiB); results model an infeasible mapping —                  add stacks or shorten the sequence",
-                f.total() as f64 / (1 << 20) as f64,
-                bank as f64 / (1 << 20) as f64,
-                f.weights as f64 / (1 << 20) as f64,
-                f.scores as f64 / (1 << 20) as f64,
-            );
-        }
-    }
-}
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::report::DataflowKind;
+use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
+use transpim_bench::{run_grid, GridCell};
+use transpim_dataflow::footprint::token_flow_footprint;
+use transpim_dataflow::ir::Precision;
+use transpim_dataflow::sharding::Sharding;
 use transpim_transformer::workload::Workload;
 
 #[derive(Debug)]
@@ -253,6 +224,34 @@ fn suffixed(path: &str, system: &str) -> String {
     }
 }
 
+/// Warn on stderr when the token dataflow's per-bank working set does not
+/// fit one bank: the run still prices, but models an infeasible mapping.
+fn warn_if_over_capacity(w: &Workload, arch: &ArchConfig) {
+    let banks = arch.hbm.geometry.total_banks();
+    let sharding = Sharding::new(banks, w.batch as u32, w.seq_len as u32);
+    let per_seq = u64::from(sharding.sequences[0].banks.count);
+    let f = token_flow_footprint(
+        &w.model,
+        w.seq_len as u64,
+        w.decode_len as u64,
+        per_seq,
+        Precision::default(),
+    );
+    let bank = arch.hbm.geometry.bank_bytes();
+    if !f.fits(bank) {
+        let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+        eprintln!(
+            "warning: per-bank working set {:.1} MiB exceeds the {:.0} MiB bank \
+             (weights {:.1} + scores {:.1} MiB); results model an infeasible mapping — \
+             add stacks or shorten the sequence",
+            mib(f.total()),
+            mib(bank),
+            mib(f.weights),
+            mib(f.scores),
+        );
+    }
+}
+
 /// Headline report figures alongside the per-span aggregates.
 fn push_headline_metrics(m: &mut MetricsSink, report: &transpim::report::SimReport) {
     m.push_metric("report.latency_ms", report.latency_ms());
@@ -288,7 +287,7 @@ fn main() -> ExitCode {
     // Reject shapes and hardware the simulator cannot price before any
     // work starts: one diagnostic line, nonzero exit, no panic.
     let kinds = if opts.all { &ArchKind::ALL[..] } else { std::slice::from_ref(&opts.arch) };
-    let checked = opts.workload.model.validate().map_err(|e| e.to_string()).and_then(|()| {
+    let checked = opts.workload.validate().map_err(|e| e.to_string()).and_then(|()| {
         kinds
             .iter()
             .try_for_each(|&k| make_arch(k).validated().map(drop).map_err(|e| e.to_string()))
@@ -378,11 +377,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Capacity check: does the token dataflow's per-bank working set fit?
-    {
-        use transpim_repro_capacity::check;
-        check(&opts.workload, acc.arch());
-    }
+    warn_if_over_capacity(&opts.workload, acc.arch());
 
     // Attach observability sinks only for the outputs that were asked for;
     // with neither --trace nor --metrics the run carries a null sink and

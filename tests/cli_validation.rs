@@ -55,3 +55,25 @@ fn valid_overrides_still_run() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("Token-TransPIM"));
 }
+
+#[test]
+fn sizes_that_overflow_u32_indices_are_rejected() {
+    // 2^24 stacks of 256 banks wrap the bank count to 0; one more stack
+    // wraps it to 256.
+    assert_rejected(&sim(&["--stacks", "16777216"]), "bank count 4294967296");
+    assert_rejected(&sim(&["--stacks", "16777217"]), "bank count 4294967552");
+    // Sequence lengths past u32 would be truncated by the sharding.
+    assert_rejected(&sim(&["--seq-len", "4294967296"]), "seq_len 4294967296");
+    assert_rejected(&sim(&["--seq-len", "4294967297"]), "seq_len 4294967297");
+}
+
+#[test]
+fn capacity_warning_is_one_line_with_single_spaces() {
+    let out = sim(&["--workload", "imdb", "--stacks", "1", "--seq-len", "100000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let warning: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning: ")).collect();
+    assert_eq!(warning.len(), 1, "{stderr}");
+    assert!(warning[0].contains("MiB bank (weights"), "{stderr}");
+    assert!(warning[0].ends_with("add stacks or shorten the sequence"), "{stderr}");
+}

@@ -1,6 +1,7 @@
 //! Property tests for the communication scheduler and routing layer:
-//! makespans must respect structural bounds on arbitrary hop sets, and
-//! routes must be well-formed for every bank pair.
+//! makespans must respect structural bounds on arbitrary hop sets, routes
+//! must be well-formed for every bank pair, and a validated geometry's
+//! `u32` counts never wrap.
 
 use proptest::prelude::*;
 use transpim_acu::ring::{ring_step_hops, schedule_hops, Hop, TransferCostModel};
@@ -26,8 +27,54 @@ fn setup(buffered: bool) -> (ResourceMap, TransferCostModel) {
     )
 }
 
+/// A geometry dimension spread over every magnitude from 1 to `u32::MAX`:
+/// a random word shifted right by the larger of two random amounts, which
+/// leans small enough that about a third of five-dimension geometries
+/// validate and the rest straddle the overflow boundary.
+fn dimension() -> impl Strategy<Value = u32> {
+    (any::<u32>(), 0u32..32, 0u32..32).prop_map(|(word, a, b)| (word >> a.max(b)).max(1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn validated_geometries_never_wrap(
+        stacks in dimension(),
+        channels_per_stack in dimension(),
+        groups_per_channel in dimension(),
+        banks_per_group in dimension(),
+        row_bytes in dimension(),
+    ) {
+        let g = HbmGeometry {
+            stacks,
+            channels_per_stack,
+            groups_per_channel,
+            banks_per_group,
+            row_bytes,
+            ..HbmGeometry::default()
+        };
+        // Exact counts in u128, where no product of four u32s can wrap.
+        let wide = u128::from;
+        let channels = wide(stacks) * wide(channels_per_stack);
+        let groups = channels * wide(groups_per_channel);
+        let banks = groups * wide(banks_per_group);
+        let per_channel = wide(groups_per_channel) * wide(banks_per_group);
+        let ids = banks + 2 * groups + channels + wide(stacks) + 1;
+        let row_bits = wide(row_bytes) * 8;
+        let fits = [channels, groups, banks, ids, row_bits].iter().all(|&n| n <= wide(u32::MAX));
+        prop_assert_eq!(g.validate().is_ok(), fits, "validate must accept exactly what fits");
+        if fits {
+            prop_assert_eq!(u128::from(g.banks_per_channel()), per_channel);
+            prop_assert_eq!(u128::from(g.banks_per_stack()), per_channel * wide(channels_per_stack));
+            prop_assert_eq!(u128::from(g.total_banks()), banks);
+            prop_assert_eq!(u128::from(g.total_channels()), channels);
+            prop_assert_eq!(u128::from(g.total_groups()), groups);
+            prop_assert_eq!(u128::from(g.row_bits()), row_bits);
+            let map = ResourceMap::new(g, BusParams::default(), true);
+            prop_assert_eq!(u128::from(map.len()), ids);
+        }
+    }
 
     #[test]
     fn makespan_is_bounded_by_hop_extremes(
