@@ -10,7 +10,7 @@
 //! domain value, which keeps shrunk counterexamples meaningful.
 
 use transpim::arch::{ArchConfig, ArchKind};
-use transpim_dataflow::ir::{BankRange, Step, StepDelta};
+use transpim_dataflow::ir::{BankRange, PerBank, Step, StepDelta};
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
 
@@ -23,24 +23,29 @@ pub const AFFINE_STEP_KINDS: u8 = 15;
 /// variant (mod [`AFFINE_STEP_KINDS`]); `sizes` feed the iteration-varying
 /// work fields and `structural` the invariant ones (widths, bank ranges,
 /// parallelism), reduced to ranges the closed-form total accounting cannot
-/// overflow at fuzz scale (sizes < 2²⁰, counts ≤ 64).
+/// overflow at fuzz scale (sizes < 2²⁰, counts ≤ 64). One busiest-bank
+/// size in four is a [`PerBank::Spread`] of the step's total.
 pub fn affine_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
     let s = [sizes[0] % (1 << 20), sizes[1] % (1 << 20), sizes[2] % (1 << 20)];
     let bits = 1 + structural[0] % 16;
     let bits2 = 1 + structural[1] % 16;
     let banks = 1 + structural[1] % 64;
+    let per_bank = |count: u64| match structural[0] % 4 {
+        0 => PerBank::Spread { over_banks: banks },
+        _ => PerBank::Count(count),
+    };
     let range = BankRange::new(structural[0] % 32, 2 + structural[1] % 15);
     let parallel = 1 + structural[0] % 4;
     match kind % AFFINE_STEP_KINDS {
         0 => Step::PointwiseMul {
-            elems_per_bank: s[0],
+            elems_per_bank: per_bank(s[0]),
             total_elems: s[1],
             a_bits: bits,
             b_bits: bits2,
         },
-        1 => Step::PointwiseAdd { elems_per_bank: s[0], total_elems: s[1], bits },
+        1 => Step::PointwiseAdd { elems_per_bank: per_bank(s[0]), total_elems: s[1], bits },
         2 => Step::Exp {
-            elems_per_bank: s[0],
+            elems_per_bank: per_bank(s[0]),
             total_elems: s[1],
             bits,
             order: 1 + structural[1] % 6,
@@ -48,14 +53,14 @@ pub fn affine_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
         3 => Step::Reduce {
             vec_len: (s[0] % (1 << 16)) as u32,
             bits,
-            vectors_per_bank: s[1],
+            vectors_per_bank: per_bank(s[1]),
             total_vectors: s[2],
         },
-        4 => Step::Recip { per_bank: s[0], total: s[1] },
+        4 => Step::Recip { per_bank: per_bank(s[0]), total: s[1] },
         5 => Step::Replicate {
             value_bits: bits,
             copies: (s[0] % (1 << 10)) as u32,
-            count_per_bank: s[1],
+            count_per_bank: per_bank(s[1]),
             total_count: s[2],
         },
         6 => Step::HostBroadcast { bytes: s[0], banks },
@@ -69,9 +74,9 @@ pub fn affine_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
         9 => Step::OneToAll { src: range.start, banks: range, bytes: s[0], parallel },
         10 => Step::PairwiseReduceTree { banks: range, bytes: s[0], bits, elems: s[1], parallel },
         11 => Step::BroadcastDup { bytes: s[0], banks },
-        12 => Step::IntraBankCopy { bytes_per_bank: s[0], total_bytes: s[1] },
+        12 => Step::IntraBankCopy { bytes_per_bank: per_bank(s[0]), total_bytes: s[1] },
         13 => Step::ShuffleAll { total_bytes: s[0] },
-        _ => Step::MemTouch { bytes_per_bank: s[0], total_bytes: s[1] },
+        _ => Step::MemTouch { bytes_per_bank: per_bank(s[0]), total_bytes: s[1] },
     }
 }
 

@@ -337,7 +337,9 @@ mod tests {
         }
         let sizes: Vec<usize> = kv.k.iter().map(Matrix::rows).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 7);
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        let max = sizes.iter().max().expect("three shards");
+        let min = sizes.iter().min().expect("three shards");
+        assert!(max - min <= 1);
     }
 
     #[test]

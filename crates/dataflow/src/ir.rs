@@ -21,6 +21,12 @@
 //! per-token blocks into `Repeat` steps opportunistically — a block that is
 //! not affine in the previous one simply flushes, so compression is a pure
 //! encoding choice, never a semantic one.
+//!
+//! A busiest-bank size that is just the step's total spread over the banks
+//! is stored as [`PerBank::Spread`] and derived when the step is priced.
+//! `ceil(k·t/N)` is not affine in `t`, but the total `k·t` is, so a decode
+//! loop whose per-bank sizes are spread totals folds into one `Repeat` per
+//! plateau of its remaining step-function fields.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -82,6 +88,57 @@ impl Default for Precision {
     }
 }
 
+/// A step's work in its busiest bank (the size that sets its latency).
+///
+/// On the wire a [`PerBank::Count`] is a bare number and a
+/// [`PerBank::Spread`] is `{"over_banks": N}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(untagged)]
+pub enum PerBank {
+    /// Stated by the compiler.
+    Count(u64),
+    /// The step's total spread evenly over `over_banks` banks (at least
+    /// one): the busiest bank does `total.div_ceil(over_banks)`. Derived,
+    /// not stored, so it follows the total through a [`Step::Repeat`].
+    Spread {
+        /// Banks the total is spread over.
+        over_banks: u32,
+    },
+}
+
+impl PerBank {
+    /// The busiest bank's share of a step whose system-wide size is
+    /// `total`.
+    pub fn of(self, total: u64) -> u64 {
+        match self {
+            PerBank::Count(c) => c,
+            PerBank::Spread { over_banks } => total.div_ceil(u64::from(over_banks.max(1))),
+        }
+    }
+
+    /// The value listed in [`Step::varying`]: the count, or 0 for a
+    /// derived share (which grows with its total, not by a delta).
+    fn varying(self) -> u64 {
+        match self {
+            PerBank::Count(c) => c,
+            PerBank::Spread { .. } => 0,
+        }
+    }
+
+    /// Advance a stated count by `d`; a derived share ignores its slot.
+    fn advance(&mut self, d: u64) {
+        if let PerBank::Count(c) = self {
+            *c += d;
+        }
+    }
+}
+
+impl From<u64> for PerBank {
+    fn from(count: u64) -> Self {
+        PerBank::Count(count)
+    }
+}
+
 /// Maximum number of iteration-varying size fields any [`Step`] variant has.
 pub const MAX_VARYING: usize = 3;
 
@@ -130,7 +187,8 @@ fn delta_of(vals: &[u64]) -> StepDelta {
 
 /// One dataflow step. Sizes follow two conventions:
 ///
-/// * `*_per_bank` — work in the busiest active bank (sets latency),
+/// * `*_per_bank` — work in the busiest active bank (sets latency), stated
+///   or derived from the step's total ([`PerBank`]),
 /// * `total_*` — system-wide work (sets energy).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Step {
@@ -142,7 +200,7 @@ pub enum Step {
     /// Point-wise multiply of `a_bits`×`b_bits` operands in the subarrays.
     PointwiseMul {
         /// Lanes in the busiest bank.
-        elems_per_bank: u64,
+        elems_per_bank: PerBank,
         /// Lanes system-wide.
         total_elems: u64,
         /// Width of the first operand.
@@ -154,7 +212,7 @@ pub enum Step {
     /// Point-wise add at `bits` width.
     PointwiseAdd {
         /// Lanes in the busiest bank.
-        elems_per_bank: u64,
+        elems_per_bank: PerBank,
         /// Lanes system-wide.
         total_elems: u64,
         /// Operand width.
@@ -164,7 +222,7 @@ pub enum Step {
     /// Point-wise Taylor exponential (Softmax step 1).
     Exp {
         /// Lanes in the busiest bank.
-        elems_per_bank: u64,
+        elems_per_bank: PerBank,
         /// Lanes system-wide.
         total_elems: u64,
         /// Fixed-point width (16 for Softmax).
@@ -180,7 +238,7 @@ pub enum Step {
         /// Element width.
         bits: u32,
         /// Vectors reduced in the busiest bank.
-        vectors_per_bank: u64,
+        vectors_per_bank: PerBank,
         /// Vectors reduced system-wide.
         total_vectors: u64,
     },
@@ -188,7 +246,7 @@ pub enum Step {
     /// Reciprocals in the ACU divider (Softmax normalization).
     Recip {
         /// Reciprocals in the busiest bank.
-        per_bank: u64,
+        per_bank: PerBank,
         /// Reciprocals system-wide.
         total: u64,
     },
@@ -201,7 +259,7 @@ pub enum Step {
         /// Copies per replication.
         copies: u32,
         /// Replications in the busiest bank.
-        count_per_bank: u64,
+        count_per_bank: PerBank,
         /// Replications system-wide.
         total_count: u64,
     },
@@ -279,7 +337,7 @@ pub enum Step {
     /// through the data buffer (or the row buffer when absent).
     IntraBankCopy {
         /// Bytes moved in the busiest bank.
-        bytes_per_bank: u64,
+        bytes_per_bank: PerBank,
         /// Bytes moved system-wide.
         total_bytes: u64,
     },
@@ -295,7 +353,7 @@ pub enum Step {
     /// Plain result reads/stores ("other" in the Figure 11 breakdown).
     MemTouch {
         /// Bytes in the busiest bank.
-        bytes_per_bank: u64,
+        bytes_per_bank: PerBank,
         /// Bytes system-wide.
         total_bytes: u64,
     },
@@ -336,25 +394,22 @@ impl Step {
     /// Current values of this step's iteration-varying size fields, in the
     /// canonical order [`StepDelta`] increments them. Structural fields
     /// (bank ranges, widths, parallelism, labels) are not listed — they
-    /// must be equal across the iterations of a [`Step::Repeat`].
+    /// must be equal across the iterations of a [`Step::Repeat`]. A
+    /// [`PerBank::Spread`] share is listed as 0: it follows its total.
     pub fn varying(&self) -> StepDelta {
         match self {
             Step::Scope(_) | Step::Repeat { .. } => StepDelta::none(),
-            Step::PointwiseMul { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
-            }
-            Step::PointwiseAdd { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
-            }
-            Step::Exp { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
+            Step::PointwiseMul { elems_per_bank, total_elems, .. }
+            | Step::PointwiseAdd { elems_per_bank, total_elems, .. }
+            | Step::Exp { elems_per_bank, total_elems, .. } => {
+                delta_of(&[elems_per_bank.varying(), *total_elems])
             }
             Step::Reduce { vec_len, vectors_per_bank, total_vectors, .. } => {
-                delta_of(&[u64::from(*vec_len), *vectors_per_bank, *total_vectors])
+                delta_of(&[u64::from(*vec_len), vectors_per_bank.varying(), *total_vectors])
             }
-            Step::Recip { per_bank, total } => delta_of(&[*per_bank, *total]),
+            Step::Recip { per_bank, total } => delta_of(&[per_bank.varying(), *total]),
             Step::Replicate { copies, count_per_bank, total_count, .. } => {
-                delta_of(&[u64::from(*copies), *count_per_bank, *total_count])
+                delta_of(&[u64::from(*copies), count_per_bank.varying(), *total_count])
             }
             Step::HostBroadcast { bytes, .. } => delta_of(&[*bytes]),
             Step::HostScatter { total_bytes } => delta_of(&[*total_bytes]),
@@ -364,12 +419,10 @@ impl Step {
             Step::OneToAll { bytes, .. } => delta_of(&[*bytes]),
             Step::PairwiseReduceTree { bytes, elems, .. } => delta_of(&[*bytes, *elems]),
             Step::BroadcastDup { bytes, .. } => delta_of(&[*bytes]),
-            Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
-                delta_of(&[*bytes_per_bank, *total_bytes])
-            }
             Step::ShuffleAll { total_bytes } => delta_of(&[*total_bytes]),
-            Step::MemTouch { bytes_per_bank, total_bytes } => {
-                delta_of(&[*bytes_per_bank, *total_bytes])
+            Step::IntraBankCopy { bytes_per_bank, total_bytes }
+            | Step::MemTouch { bytes_per_bank, total_bytes } => {
+                delta_of(&[bytes_per_bank.varying(), *total_bytes])
             }
         }
     }
@@ -384,21 +437,21 @@ impl Step {
             Step::PointwiseMul { elems_per_bank, total_elems, .. }
             | Step::PointwiseAdd { elems_per_bank, total_elems, .. }
             | Step::Exp { elems_per_bank, total_elems, .. } => {
-                *elems_per_bank += d.d[0];
+                elems_per_bank.advance(d.d[0]);
                 *total_elems += d.d[1];
             }
             Step::Reduce { vec_len, vectors_per_bank, total_vectors, .. } => {
                 *vec_len = (u64::from(*vec_len) + d.d[0]) as u32;
-                *vectors_per_bank += d.d[1];
+                vectors_per_bank.advance(d.d[1]);
                 *total_vectors += d.d[2];
             }
             Step::Recip { per_bank, total } => {
-                *per_bank += d.d[0];
+                per_bank.advance(d.d[0]);
                 *total += d.d[1];
             }
             Step::Replicate { copies, count_per_bank, total_count, .. } => {
                 *copies = (u64::from(*copies) + d.d[0]) as u32;
-                *count_per_bank += d.d[1];
+                count_per_bank.advance(d.d[1]);
                 *total_count += d.d[2];
             }
             Step::HostBroadcast { bytes, .. } => *bytes += d.d[0],
@@ -415,7 +468,7 @@ impl Step {
             Step::BroadcastDup { bytes, .. } => *bytes += d.d[0],
             Step::IntraBankCopy { bytes_per_bank, total_bytes }
             | Step::MemTouch { bytes_per_bank, total_bytes } => {
-                *bytes_per_bank += d.d[0];
+                bytes_per_bank.advance(d.d[0]);
                 *total_bytes += d.d[1];
             }
             Step::ShuffleAll { total_bytes } => *total_bytes += d.d[0],
@@ -843,7 +896,7 @@ mod tests {
         });
         p.push(Step::ShuffleAll { total_bytes: 200 });
         p.push(Step::BroadcastDup { bytes: 7, banks: 10 });
-        p.push(Step::PointwiseMul { elems_per_bank: 5, total_elems: 20, a_bits: 8, b_bits: 8 });
+        p.push(mul(5, 20));
         assert_eq!(p.host_bytes(), 150);
         assert_eq!(p.internal_movement_bytes(), 4 * 10 * 3 * 2 + 200 + 70);
         assert_eq!(p.total_mul_elems(), 20);
@@ -852,7 +905,12 @@ mod tests {
     }
 
     fn mul(per_bank: u64, total: u64) -> Step {
-        Step::PointwiseMul { elems_per_bank: per_bank, total_elems: total, a_bits: 8, b_bits: 8 }
+        Step::PointwiseMul {
+            elems_per_bank: per_bank.into(),
+            total_elems: total,
+            a_bits: 8,
+            b_bits: 8,
+        }
     }
 
     #[test]
@@ -863,7 +921,8 @@ mod tests {
         // Shrinking fields never fold.
         assert_eq!(b.affine_delta(&a), None);
         // Structural (width) mismatch never folds.
-        let c = Step::PointwiseMul { elems_per_bank: 7, total_elems: 26, a_bits: 16, b_bits: 8 };
+        let c =
+            Step::PointwiseMul { elems_per_bank: 7.into(), total_elems: 26, a_bits: 16, b_bits: 8 };
         assert_eq!(a.affine_delta(&c), None);
         // Variant mismatch never folds.
         assert_eq!(a.affine_delta(&Step::HostScatter { total_bytes: 1 }), None);
@@ -913,7 +972,7 @@ mod tests {
             },
             mul(10, 1000),
             Step::OneToAll { src: 0, banks: BankRange::new(0, 8), bytes: 32, parallel: 2 },
-            Step::MemTouch { bytes_per_bank: 8, total_bytes: 512 },
+            Step::MemTouch { bytes_per_bank: 8.into(), total_bytes: 512 },
         ];
         let delta = vec![
             StepDelta::none(),
@@ -991,7 +1050,9 @@ mod tests {
             .steps()
             .iter()
             .map(|s| match s {
-                Step::PointwiseMul { elems_per_bank, .. } => *elems_per_bank,
+                Step::PointwiseMul { elems_per_bank, total_elems, .. } => {
+                    elems_per_bank.of(*total_elems)
+                }
                 _ => unreachable!(),
             })
             .collect();

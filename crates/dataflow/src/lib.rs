@@ -24,6 +24,8 @@
 //! [`footprint`] accounts the per-bank working set and the sequence-length
 //! capacity wall it implies.
 
+#![deny(clippy::unwrap_used)]
+
 pub mod footprint;
 pub mod functional;
 pub mod ir;

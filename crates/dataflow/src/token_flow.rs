@@ -87,57 +87,48 @@ pub fn compile_full(
         // The generation loop is emitted loop-compressed: every decoder
         // block for token `t` depends on `t` only through `r_gen`, so
         // identical blocks fold into zero-delta `Step::Repeat`s and
-        // affine-growing blocks (LastBank) fold with per-iteration deltas.
-        // The compiled program is O(decoder_layers) steps, not
-        // O(decode_len × decoder_layers).
+        // affine-growing blocks (LastBank) into one repeat with
+        // per-iteration deltas. The compiled program is O(decoder_layers)
+        // steps, not O(decode_len × decoder_layers).
         let decode = workload.decode_len as u64;
         let layers = cfg.decoder_layers as u64;
-        let mut comp = RepeatCompressor::new();
-        let mut block = Vec::new();
+        let block_at = |t: u64| {
+            let mut block = Vec::new();
+            decoder_step_layer(&mut block, cfg, shard.banks, shard.seq_len, t, batch, p, placement);
+            block
+        };
         match placement {
             DecoderPlacement::Balanced => {
                 // `r_gen = ceil(t/N)` is constant over runs of N tokens:
                 // emit one layer block per plateau and repeat it
                 // arithmetically for every (token, layer) pair in the run.
                 let n = u64::from(shard.banks.count);
+                let mut comp = RepeatCompressor::new();
                 let mut t = 0;
                 while t < decode {
                     let run_end = if t == 0 { 1 } else { (t.div_ceil(n) * n + 1).min(decode) };
-                    decoder_step_layer(
-                        &mut block,
-                        cfg,
-                        shard.banks,
-                        shard.seq_len,
-                        t,
-                        batch,
-                        p,
-                        placement,
-                    );
-                    comp.push_block_times(&mut prog, &mut block, (run_end - t) * layers);
+                    comp.push_block_times(&mut prog, &mut block_at(t), (run_end - t) * layers);
                     t = run_end;
                 }
+                comp.flush(&mut prog);
             }
             DecoderPlacement::LastBank => {
-                // `r_gen = t` grows by one per token: per-token blocks (all
-                // layers) fold into a single affine repeat.
-                for t in 0..decode {
-                    for _ in 0..layers {
-                        decoder_step_layer(
-                            &mut block,
-                            cfg,
-                            shard.banks,
-                            shard.seq_len,
-                            t,
-                            batch,
-                            p,
-                            placement,
-                        );
-                    }
-                    comp.push_block(&mut prog, &mut block);
-                }
+                // `r_gen = t` grows by one per token, and the shard holds at
+                // least one context token, so every field of the per-token
+                // block (all layers) is affine in `t`: one repeat, with the
+                // delta of blocks 0 and 1.
+                let per_token = |t| (0..layers).flat_map(|_| block_at(t)).collect::<Vec<_>>();
+                let (first, second) = (per_token(0), per_token(1));
+                let delta = first
+                    .iter()
+                    .zip(&second)
+                    .map(|(a, b)| {
+                        a.affine_delta(b).expect("LastBank decoder blocks are affine in the token")
+                    })
+                    .collect();
+                prog.push(Step::repeat(decode, first, delta));
             }
         }
-        comp.flush(&mut prog);
     }
     prog
 }
@@ -171,11 +162,11 @@ fn encoder_layer(
     // Figure 8(a): three replicated operand copies staged for row-parallel
     // point-wise multiplication.
     prog.push(Step::IntraBankCopy {
-        bytes_per_bank: 3 * r * d * act_b,
+        bytes_per_bank: (3 * r * d * act_b).into(),
         total_bytes: 3 * l * d * act_b * b,
     });
     prog.push(Step::PointwiseMul {
-        elems_per_bank: 3 * r * d * d,
+        elems_per_bank: (3 * r * d * d).into(),
         total_elems: 3 * l * d * d * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -183,11 +174,11 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: 3 * r * d,
+        vectors_per_bank: (3 * r * d).into(),
         total_vectors: 3 * l * d * b,
     });
     prog.push(Step::MemTouch {
-        bytes_per_bank: 3 * r * d * act_b,
+        bytes_per_bank: (3 * r * d * act_b).into(),
         total_bytes: 3 * l * d * act_b * b,
     });
 
@@ -202,7 +193,7 @@ fn encoder_layer(
         });
     }
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * d,
+        elems_per_bank: (r * l * d).into(),
         total_elems: l * l * d * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -210,18 +201,18 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: dh as u32,
         bits: p.acc_bits,
-        vectors_per_bank: r * l * h,
+        vectors_per_bank: (r * l * h).into(),
         total_vectors: l * l * h * b,
     });
     prog.push(Step::MemTouch {
-        bytes_per_bank: r * l * h * sm_b,
+        bytes_per_bank: (r * l * h * sm_b).into(),
         total_bytes: l * l * h * sm_b * b,
     });
 
     // ---- Softmax: fully local (each bank owns its score rows).
     prog.push(Step::scope("enc.softmax"));
     prog.push(Step::Exp {
-        elems_per_bank: r * l * h,
+        elems_per_bank: (r * l * h).into(),
         total_elems: l * l * h * b,
         bits: p.softmax_bits,
         order: p.taylor_order,
@@ -229,18 +220,18 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: seq_len,
         bits: p.softmax_bits,
-        vectors_per_bank: r * h,
+        vectors_per_bank: (r * h).into(),
         total_vectors: l * h * b,
     });
-    prog.push(Step::Recip { per_bank: r * h, total: l * h * b });
+    prog.push(Step::Recip { per_bank: (r * h).into(), total: l * h * b });
     prog.push(Step::Replicate {
         value_bits: p.softmax_bits,
         copies: seq_len,
-        count_per_bank: r * h,
+        count_per_bank: (r * h).into(),
         total_count: l * h * b,
     });
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * h,
+        elems_per_bank: (r * l * h).into(),
         total_elems: l * l * h * b,
         a_bits: p.softmax_bits,
         b_bits: p.softmax_bits,
@@ -257,7 +248,7 @@ fn encoder_layer(
         });
     }
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * d,
+        elems_per_bank: (r * l * d).into(),
         total_elems: l * l * d * b,
         a_bits: p.softmax_bits,
         b_bits: p.act_bits,
@@ -265,12 +256,12 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: seq_len,
         bits: p.acc_bits,
-        vectors_per_bank: r * d,
+        vectors_per_bank: (r * d).into(),
         total_vectors: l * d * b,
     });
     prog.push(Step::HostBroadcast { bytes: d * d * act_b, banks: active });
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * d * d,
+        elems_per_bank: (r * d * d).into(),
         total_elems: l * d * d * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -278,11 +269,11 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: r * d,
+        vectors_per_bank: (r * d).into(),
         total_vectors: l * d * b,
     });
     prog.push(Step::PointwiseAdd {
-        elems_per_bank: r * d,
+        elems_per_bank: (r * d).into(),
         total_elems: l * d * b,
         bits: p.act_bits,
     });
@@ -291,7 +282,7 @@ fn encoder_layer(
     prog.push(Step::scope("enc.ffn"));
     prog.push(Step::HostBroadcast { bytes: 2 * d * dff * act_b, banks: active });
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * d * dff,
+        elems_per_bank: (r * d * dff).into(),
         total_elems: l * d * dff * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -299,11 +290,11 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: r * dff,
+        vectors_per_bank: (r * dff).into(),
         total_vectors: l * dff * b,
     });
     prog.push(Step::PointwiseMul {
-        elems_per_bank: r * dff * d,
+        elems_per_bank: (r * dff * d).into(),
         total_elems: l * dff * d * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -311,15 +302,18 @@ fn encoder_layer(
     prog.push(Step::Reduce {
         vec_len: dff as u32,
         bits: p.acc_bits,
-        vectors_per_bank: r * d,
+        vectors_per_bank: (r * d).into(),
         total_vectors: l * d * b,
     });
     prog.push(Step::PointwiseAdd {
-        elems_per_bank: r * d,
+        elems_per_bank: (r * d).into(),
         total_elems: l * d * b,
         bits: p.act_bits,
     });
-    prog.push(Step::MemTouch { bytes_per_bank: r * d * act_b, total_bytes: l * d * act_b * b });
+    prog.push(Step::MemTouch {
+        bytes_per_bank: (r * d * act_b).into(),
+        total_bytes: l * d * act_b * b,
+    });
 }
 
 /// One decoder block for generated-token index `t` (Section III-C,
@@ -359,7 +353,7 @@ fn decoder_step_layer(
     out.push(Step::OneToAll { src: banks.start, banks, bytes: d * act_b, parallel: batch });
     let fc_mults = 3 * d * d;
     out.push(Step::PointwiseMul {
-        elems_per_bank: fc_mults.div_ceil(n),
+        elems_per_bank: fc_mults.div_ceil(n).into(),
         total_elems: fc_mults * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -367,7 +361,7 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: (3 * d).div_ceil(n),
+        vectors_per_bank: (3 * d).div_ceil(n).into(),
         total_vectors: 3 * d * b,
     });
     out.push(Step::OneToAll { src: banks.start, banks, bytes: d * act_b, parallel: batch });
@@ -375,7 +369,7 @@ fn decoder_step_layer(
     // ---- Attention of the new token against distributed K/V columns.
     out.push(Step::scope("dec.attn"));
     out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * d,
+        elems_per_bank: (r_att * d).into(),
         total_elems: r_att * d * n * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -383,13 +377,13 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: (d / h) as u32,
         bits: p.acc_bits,
-        vectors_per_bank: r_att * h,
+        vectors_per_bank: (r_att * h).into(),
         total_vectors: r_att * h * n * b,
     });
     // Distributed Softmax over the single score row: local exponents,
     // tree-reduced row sum, reciprocal broadcast back.
     out.push(Step::Exp {
-        elems_per_bank: r_att * h,
+        elems_per_bank: (r_att * h).into(),
         total_elems: r_att * h * n * b,
         bits: p.softmax_bits,
         order: p.taylor_order,
@@ -397,7 +391,7 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: r_att.max(1) as u32,
         bits: p.softmax_bits,
-        vectors_per_bank: h,
+        vectors_per_bank: h.into(),
         total_vectors: h * n * b,
     });
     out.push(Step::PairwiseReduceTree {
@@ -407,17 +401,17 @@ fn decoder_step_layer(
         elems: h,
         parallel: batch,
     });
-    out.push(Step::Recip { per_bank: h, total: h * b });
+    out.push(Step::Recip { per_bank: h.into(), total: h * b });
     out.push(Step::OneToAll { src: banks.start, banks, bytes: h * sm_b, parallel: batch });
     out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * h,
+        elems_per_bank: (r_att * h).into(),
         total_elems: r_att * h * n * b,
         a_bits: p.softmax_bits,
         b_bits: p.softmax_bits,
     });
     // Weighted values: per-bank partial output, then the reduction tree.
     out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * d,
+        elems_per_bank: (r_att * d).into(),
         total_elems: r_att * d * n * b,
         a_bits: p.softmax_bits,
         b_bits: p.act_bits,
@@ -425,7 +419,7 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: r_att.max(1) as u32,
         bits: p.acc_bits,
-        vectors_per_bank: d,
+        vectors_per_bank: d.into(),
         total_vectors: d * n * b,
     });
     out.push(Step::PairwiseReduceTree {
@@ -441,7 +435,7 @@ fn decoder_step_layer(
     // cross_attention is on; the extra Q/O projections are charged here).
     let proj_matvecs: u64 = if cfg.cross_attention { 2 + 2 } else { 2 }; // Wo (+Wq2, Wo2)
     out.push(Step::PointwiseMul {
-        elems_per_bank: (proj_matvecs * d * d).div_ceil(n),
+        elems_per_bank: (proj_matvecs * d * d).div_ceil(n).into(),
         total_elems: proj_matvecs * d * d * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -449,14 +443,14 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: (proj_matvecs * d).div_ceil(n),
+        vectors_per_bank: (proj_matvecs * d).div_ceil(n).into(),
         total_vectors: proj_matvecs * d * b,
     });
 
     // ---- FFN matvecs, output-parallel on resident slices.
     out.push(Step::scope("dec.ffn"));
     out.push(Step::PointwiseMul {
-        elems_per_bank: (2 * d * dff).div_ceil(n),
+        elems_per_bank: (2 * d * dff).div_ceil(n).into(),
         total_elems: 2 * d * dff * b,
         a_bits: p.act_bits,
         b_bits: p.act_bits,
@@ -464,10 +458,10 @@ fn decoder_step_layer(
     out.push(Step::Reduce {
         vec_len: d as u32,
         bits: p.acc_bits,
-        vectors_per_bank: (2 * dff).div_ceil(n),
+        vectors_per_bank: (2 * dff).div_ceil(n).into(),
         total_vectors: 2 * dff * b,
     });
-    out.push(Step::MemTouch { bytes_per_bank: d * act_b, total_bytes: d * act_b * n * b });
+    out.push(Step::MemTouch { bytes_per_bank: (d * act_b).into(), total_bytes: d * act_b * n * b });
 }
 
 #[cfg(test)]
@@ -560,7 +554,9 @@ mod tests {
                 .steps()
                 .iter()
                 .filter_map(|s| match s {
-                    Step::Exp { elems_per_bank, .. } => Some(*elems_per_bank),
+                    Step::Exp { elems_per_bank, total_elems, .. } => {
+                        Some(elems_per_bank.of(*total_elems))
+                    }
                     _ => None,
                 })
                 .sum()

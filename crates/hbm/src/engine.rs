@@ -89,8 +89,16 @@ pub mod tracks {
 #[derive(Debug, Clone)]
 pub struct Engine {
     stats: SimStats,
+    /// Every scope's statistics as of the last scope change; the current
+    /// scope's running entry is `slot`.
     scoped: ScopedStats,
     scope: String,
+    /// The current scope's statistics, accumulated here rather than looked
+    /// up per lump, and written back to `scoped` on the next scope change.
+    slot: SimStats,
+    /// Whether `slot` is an entry of `scoped`: the scope had one when it
+    /// became current, or has recorded a lump since.
+    slot_live: bool,
     sink: SinkHandle,
     latency_scale: f64,
     tracks_named: bool,
@@ -127,6 +135,8 @@ impl Engine {
             stats: SimStats::new(),
             scoped: ScopedStats::new(),
             scope: String::from("init"),
+            slot: SimStats::new(),
+            slot_live: false,
             sink: SinkHandle::null(),
             latency_scale: 1.0,
             tracks_named: false,
@@ -176,8 +186,19 @@ impl Engine {
     /// current Transformer layer kind).
     pub fn set_scope(&mut self, scope: &str) {
         if self.scope != scope {
+            self.write_back();
             self.scope.clear();
             self.scope.push_str(scope);
+            let entry = self.scoped.get(scope);
+            self.slot_live = entry.is_some();
+            self.slot = entry.copied().unwrap_or_default();
+        }
+    }
+
+    /// Store the current scope's slot in the per-scope statistics.
+    fn write_back(&mut self) {
+        if self.slot_live {
+            *self.scoped.entry_mut(&self.scope) = self.slot;
         }
     }
 
@@ -199,7 +220,8 @@ impl Engine {
         debug_assert!(latency_ns >= 0.0 && energy_pj >= 0.0 && bytes >= 0.0);
         let latency = latency_ns * self.latency_scale;
         self.stats.record(category, latency, energy_pj, bytes);
-        self.scoped.record(&self.scope, category, latency, energy_pj, bytes);
+        self.slot.record(category, latency, energy_pj, bytes);
+        self.slot_live = true;
         latency
     }
 
@@ -264,13 +286,19 @@ impl Engine {
         &self.stats
     }
 
-    /// Per-scope statistics accumulated so far.
-    pub fn scoped(&self) -> &ScopedStats {
-        &self.scoped
+    /// Per-scope statistics accumulated so far, the current scope's
+    /// included.
+    pub fn scoped(&self) -> ScopedStats {
+        let mut scoped = self.scoped.clone();
+        if self.slot_live {
+            *scoped.entry_mut(&self.scope) = self.slot;
+        }
+        scoped
     }
 
     /// Consume the engine, returning `(global, per-scope)` statistics.
-    pub fn into_stats(self) -> (SimStats, ScopedStats) {
+    pub fn into_stats(mut self) -> (SimStats, ScopedStats) {
+        self.write_back();
         (self.stats, self.scoped)
     }
 }

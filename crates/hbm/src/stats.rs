@@ -185,22 +185,6 @@ impl ScopedStats {
         Self::default()
     }
 
-    /// Record a phase under `scope`.
-    ///
-    /// Allocation-free when the scope has been seen before — the hot path
-    /// for decode loops, which record millions of lumps across a handful
-    /// of scope labels.
-    pub fn record(
-        &mut self,
-        scope: &str,
-        category: Category,
-        latency_ns: f64,
-        energy_pj: f64,
-        bytes: f64,
-    ) {
-        self.entry_mut(scope).record(category, latency_ns, energy_pj, bytes);
-    }
-
     /// The (created-if-absent) statistics entry for `scope`, cloning the
     /// label only on first sight.
     pub fn entry_mut(&mut self, scope: &str) -> &mut SimStats {
@@ -261,9 +245,9 @@ mod tests {
     #[test]
     fn scoped_total_matches_sum() {
         let mut s = ScopedStats::new();
-        s.record("fc", Category::Arithmetic, 5.0, 10.0, 1.0);
-        s.record("attn", Category::DataMovement, 7.0, 20.0, 2.0);
-        s.record("fc", Category::Reduction, 3.0, 5.0, 0.0);
+        s.entry_mut("fc").record(Category::Arithmetic, 5.0, 10.0, 1.0);
+        s.entry_mut("attn").record(Category::DataMovement, 7.0, 20.0, 2.0);
+        s.entry_mut("fc").record(Category::Reduction, 3.0, 5.0, 0.0);
         let t = s.total();
         assert_eq!(t.latency_ns, 15.0);
         assert_eq!(s.get("fc").unwrap().latency_ns, 8.0);

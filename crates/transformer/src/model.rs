@@ -41,6 +41,12 @@ pub enum ModelError {
         /// Smallest accepted value.
         min: usize,
     },
+    /// A work size the dataflow compilers derive from the workload's shape
+    /// overflows `u64`.
+    TooLarge {
+        /// The overflowing product, in workload terms.
+        size: &'static str,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -52,6 +58,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::OutOfRange { field, value, min } => {
                 write!(f, "workload {field} {value} is outside {min}..={}", u32::MAX)
+            }
+            ModelError::TooLarge { size } => {
+                write!(f, "workload is too large to compile: {size} overflows u64")
             }
         }
     }

@@ -122,24 +122,58 @@ impl Workload {
     }
 
     /// Check the workload for simulation use: the model shape, then
-    /// `1 ≤ batch, seq_len ≤ u32::MAX` and `decode_len ≤ u32::MAX` (the
-    /// sharding indexes sequences and tokens with `u32`).
+    /// `1 ≤ batch, seq_len ≤ u32::MAX` and `decode_len, d_ff ≤ u32::MAX`
+    /// (the sharding indexes sequences and tokens with `u32`, and vector
+    /// lengths are `u32`), then that every work size the dataflow
+    /// compilers derive fits in `u64`.
     ///
     /// # Errors
     ///
-    /// [`ModelError`] naming the first offending field.
+    /// [`ModelError`] naming the first offending field or product.
     pub fn validate(&self) -> Result<(), ModelError> {
         self.model.validate()?;
         for (field, value, min) in [
             ("batch", self.batch, 1),
             ("seq_len", self.seq_len, 1),
             ("decode_len", self.decode_len, 0),
+            ("d_ff", self.model.d_ff, 1),
         ] {
             if value < min || u32::try_from(value).is_err() {
                 return Err(ModelError::OutOfRange { field, value, min });
             }
         }
-        Ok(())
+        match self.overflowing_size() {
+            Some(size) => Err(ModelError::TooLarge { size }),
+            None => Ok(()),
+        }
+    }
+
+    /// The first of the largest work sizes the dataflow compilers derive
+    /// from this shape that overflows `u64`, by name. Each bounds one
+    /// step's element, vector or byte count at operands of up to 16 bits;
+    /// every other size either compiler derives is at most one of them. A
+    /// decode step (balanced placement) attends over at most
+    /// `seq_len + decode_len` positions, plus the padding of two bank
+    /// shards of at most `u32::MAX` banks each.
+    fn overflowing_size(&self) -> Option<&'static str> {
+        let m = &self.model;
+        let [l, b, d, h, dff, layers] =
+            [self.seq_len, self.batch, m.d_model, m.heads, m.d_ff, m.decoder_layers]
+                .map(|v| v as u64);
+        let ctx = l + self.decode_len as u64 + 2 * u64::from(u32::MAX);
+        // 2·layers·(8·d² + 2·d·d_ff) resident decoder weight bytes.
+        let weights = d.saturating_mul(4).saturating_add(dff);
+        let sizes: [(&'static str, &[u64]); 6] = [
+            ("3·seq_len·d_model²·batch", &[3, l, d, d, b]),
+            ("seq_len²·d_model·batch", &[l, l, d, b]),
+            ("4·heads·seq_len²·batch", &[4, h, l, l, b]),
+            ("seq_len·d_model·d_ff·batch", &[l, d, dff, b]),
+            ("4·(seq_len + decode_len)·d_model·batch", &[4, ctx, d, b]),
+            ("4·decoder_layers·d_model·(4·d_model + d_ff)", &[4, layers, d, weights]),
+        ];
+        let overflows =
+            |factors: &[u64]| factors.iter().try_fold(1u64, |acc, &f| acc.checked_mul(f)).is_none();
+        sizes.iter().find(|(_, factors)| overflows(factors)).map(|(size, _)| *size)
     }
 
     /// Total tokens per batch (`batch × L`).
@@ -189,8 +223,12 @@ mod tests {
             assert_eq!(w.validate(), Ok(()), "{}", w.name);
         }
         let max = u32::MAX as usize;
-        let edge = Workload { batch: max, seq_len: max, decode_len: max, ..Workload::imdb() };
+        let edge = Workload { decode_len: max, ..Workload::lm() };
         assert_eq!(edge.validate(), Ok(()));
+        // A u32::MAX-token sequence is indexable, but its attention
+        // multiplies overflow u64.
+        let err = Workload { seq_len: max, ..Workload::lm() }.validate().unwrap_err();
+        assert_eq!(err, ModelError::TooLarge { size: "seq_len²·d_model·batch" });
         let err = Workload { seq_len: max + 1, ..Workload::imdb() }.validate().unwrap_err();
         assert_eq!(err, ModelError::OutOfRange { field: "seq_len", value: max + 1, min: 1 });
         assert_eq!(err.to_string(), "workload seq_len 4294967296 is outside 1..=4294967295");
@@ -198,6 +236,8 @@ mod tests {
         assert_eq!(err, ModelError::OutOfRange { field: "batch", value: 0, min: 1 });
         let err = Workload { decode_len: max + 1, ..Workload::lm() }.validate().unwrap_err();
         assert!(matches!(err, ModelError::OutOfRange { field: "decode_len", min: 0, .. }));
+        let err = Workload { batch: max, seq_len: max, ..Workload::imdb() }.validate().unwrap_err();
+        assert_eq!(err, ModelError::TooLarge { size: "3·seq_len·d_model²·batch" });
         let mut bad = Workload { batch: 0, ..Workload::imdb() };
         bad.model.heads = 0;
         assert_eq!(bad.validate(), Err(ModelError::Zero("heads")), "the model is checked first");

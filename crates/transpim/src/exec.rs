@@ -300,7 +300,7 @@ impl Executor {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
         let mut run = Run::new(engine, session.filter(|s| !s.is_empty()));
-        self.segment(program.steps(), &mut run)?;
+        self.segment(program.steps(), &[], &mut run)?;
         Ok(run.engine.into_stats())
     }
 
@@ -321,11 +321,17 @@ impl Executor {
     }
 
     /// The emission loop: price a step slice — a whole program or one
-    /// repeat-body iteration — and run its lumps. The pipelined-ring fusion
-    /// window applies within the slice (compiled repeat bodies begin with a
-    /// scope and end with a memory touch, so fusion never wants to cross an
-    /// iteration boundary).
-    fn segment(&mut self, steps: &[Step], run: &mut Run<'_>) -> Result<(), SimError> {
+    /// repeat-body iteration — and run its lumps. `known` holds the lumps
+    /// of steps already costed (parallel to `steps`, or empty); the rest
+    /// are costed here. The pipelined-ring fusion window applies within the
+    /// slice (compiled repeat bodies begin with a scope and end with a
+    /// memory touch, so fusion never wants to cross an iteration boundary).
+    fn segment(
+        &mut self,
+        steps: &[Step],
+        known: &[Option<Lumps>],
+        run: &mut Run<'_>,
+    ) -> Result<(), SimError> {
         let mut i = 0;
         while i < steps.len() {
             let step = &steps[i];
@@ -344,13 +350,13 @@ impl Executor {
                 }
                 _ => {}
             }
-            let mut lumps = self.cost(step);
+            let mut lumps = self.cost_of(steps, known, i - 1);
             match (step, steps.get(i)) {
-                (
-                    Step::RingBroadcast { banks, repeat, .. },
-                    Some(mul @ Step::PointwiseMul { .. }),
-                ) if self.arch.pipelined_ring => {
-                    self.pipeline(&mut lumps, mul, *banks, *repeat, &run.engine);
+                (Step::RingBroadcast { banks, repeat, .. }, Some(Step::PointwiseMul { .. }))
+                    if self.arch.pipelined_ring =>
+                {
+                    let mul = self.cost_of(steps, known, i);
+                    Self::pipeline(&mut lumps, mul, *banks, *repeat, &run.engine);
                     i += 1;
                 }
                 _ if run.engine.emitting() => self.detail(step, run),
@@ -372,15 +378,8 @@ impl Executor {
     /// latency; degradation applies to the residual lumps afterwards
     /// (conservative — a slowed multiply could hide more of the ring than
     /// we credit).
-    fn pipeline(
-        &mut self,
-        lumps: &mut Lumps,
-        mul: &Step,
-        banks: BankRange,
-        repeat: u64,
-        engine: &Engine,
-    ) {
-        let [mul, _] = self.cost(mul);
+    fn pipeline(lumps: &mut Lumps, mul: Lumps, banks: BankRange, repeat: u64, engine: &Engine) {
+        let [mul, _] = mul;
         if let (Some(ring), Some(mul)) = (lumps[0].as_mut(), mul) {
             let ring_ns = ring.latency_ns;
             ring.latency_ns = (ring_ns - mul.latency_ns).max(0.0);
@@ -412,8 +411,12 @@ impl Executor {
         if let Some(sess) = run.session.as_deref_mut() {
             if let Step::Recip { per_bank, total } = *step {
                 if self.arch.kind.has_acu() && !sess.broken_dividers().is_empty() {
-                    (lump.latency_ns, lump.energy_pj) =
-                        self.recip_degraded(per_bank, total, sess, run.engine.latency_scale());
+                    (lump.latency_ns, lump.energy_pj) = self.recip_degraded(
+                        per_bank.of(total),
+                        total,
+                        sess,
+                        run.engine.latency_scale(),
+                    );
                 }
             }
             lump = self.degrade(&run.engine, sess, lump)?;
@@ -524,6 +527,15 @@ impl Executor {
         );
     }
 
+    /// The lumps of `steps[j]`: from `known` when it holds them, else
+    /// costed now.
+    fn cost_of(&mut self, steps: &[Step], known: &[Option<Lumps>], j: usize) -> Lumps {
+        match known.get(j) {
+            Some(Some(lumps)) => *lumps,
+            _ => self.cost(&steps[j]),
+        }
+    }
+
     /// The lumps `step` costs on this architecture, from the cost models
     /// and the memoized schedules. Scopes and repeats cost nothing here:
     /// the emission loop walks them.
@@ -534,23 +546,26 @@ impl Executor {
 
             Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
                 let op = PimOp::Mul { a_bits, b_bits };
-                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
+                let cost = self.pointwise(op, elems_per_bank.of(total_elems), total_elems);
+                [lump(Arithmetic, cost, 0.0), None]
             }
             Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
                 let op = PimOp::Add { bits };
-                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
+                let cost = self.pointwise(op, elems_per_bank.of(total_elems), total_elems);
+                [lump(Arithmetic, cost, 0.0), None]
             }
             Step::Exp { elems_per_bank, total_elems, bits, order } => {
                 let op = PimOp::ExpTaylor { bits, order };
-                [lump(Arithmetic, self.pointwise(op, elems_per_bank, total_elems), 0.0), None]
+                let cost = self.pointwise(op, elems_per_bank.of(total_elems), total_elems);
+                [lump(Arithmetic, cost, 0.0), None]
             }
 
             Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
-                let cost = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
-                [lump(Reduction, cost, 0.0), None]
+                let per_bank = vectors_per_bank.of(total_vectors);
+                [lump(Reduction, self.reduce(vec_len, bits, per_bank, total_vectors), 0.0), None]
             }
             Step::Recip { per_bank, total } => {
-                [lump(Reduction, self.recip(per_bank, total), 0.0), None]
+                [lump(Reduction, self.recip(per_bank.of(total), total), 0.0), None]
             }
 
             Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
@@ -561,7 +576,8 @@ impl Executor {
                     value_bits,
                     copies,
                 );
-                let cost = (per_ns * count_per_bank as f64, per_pj * total_count as f64);
+                let cost =
+                    (per_ns * count_per_bank.of(total_count) as f64, per_pj * total_count as f64);
                 let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
                 [lump(DataMovement, cost, bytes), None]
             }
@@ -606,6 +622,7 @@ impl Executor {
                 [lump(DataMovement, self.broadcast_dup(bytes, banks), moved), None]
             }
             Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
+                let bytes_per_bank = bytes_per_bank.of(total_bytes);
                 let cost = match &self.buffer {
                     Some(b) => (
                         b.inter_subarray_copy_ns(bytes_per_bank),
@@ -623,7 +640,7 @@ impl Executor {
             }
 
             Step::MemTouch { bytes_per_bank, total_bytes } => {
-                let cost = self.mem_touch(bytes_per_bank, total_bytes);
+                let cost = self.mem_touch(bytes_per_bank.of(total_bytes), total_bytes);
                 [lump(Other, cost, total_bytes as f64), None]
             }
         }
@@ -641,8 +658,10 @@ impl Executor {
     ///   byte-identical statistics at O(body) step-walk cost;
     /// * **in-place advance** (non-zero deltas, or emission is on, or a
     ///   session draws per lump): walk a scratch copy of the body per
-    ///   iteration, advancing its varying fields by the deltas — cache-hot,
-    ///   no per-step allocation.
+    ///   iteration. Steps with a zero delta are costed once per repeat;
+    ///   only the varying steps are advanced and re-costed per iteration.
+    ///   Fault gating, trace detail and pipelined-ring fusion still run per
+    ///   step, in order, so every lump reaches the engine as unrolled.
     ///
     /// Debug builds verify the replay against an actual re-pricing and the
     /// final scratch body against [`Step::at`].
@@ -661,7 +680,7 @@ impl Executor {
         // iteration is priced live.
         if zero_delta && !run.engine.emitting() && run.log.is_none() && run.session.is_none() {
             run.log = Some(Vec::new());
-            self.segment(body, run)?;
+            self.segment(body, &[], run)?;
             let recorded = run.log.take().unwrap_or_default();
             #[cfg(debug_assertions)]
             let mut check = Run::new(run.engine.clone(), None);
@@ -669,7 +688,7 @@ impl Executor {
             #[cfg(debug_assertions)]
             {
                 for _ in 1..count {
-                    let _ = self.segment(body, &mut check);
+                    let _ = self.segment(body, &[], &mut check);
                 }
                 debug_assert_eq!(
                     check.engine.stats(),
@@ -685,14 +704,17 @@ impl Executor {
             return Ok(());
         }
 
+        let known: Vec<Option<Lumps>> =
+            body.iter().zip(delta).map(|(s, d)| d.is_zero().then(|| self.cost(s))).collect();
+        let varying: Vec<usize> = (0..body.len()).filter(|&j| known[j].is_none()).collect();
         let mut scratch = body.to_vec();
         for i in 0..count {
             if i > 0 {
-                for (s, d) in scratch.iter_mut().zip(delta) {
-                    s.advance(d);
+                for &j in &varying {
+                    scratch[j].advance(&delta[j]);
                 }
             }
-            self.segment(&scratch, run)?;
+            self.segment(&scratch, &known, run)?;
         }
         #[cfg(debug_assertions)]
         if count > 1 {
@@ -1162,10 +1184,20 @@ mod tests {
     fn zero_sized_steps_are_free_and_finite() {
         let mut ex = Executor::new(ArchConfig::new(ArchKind::TransPim));
         let mut prog = transpim_dataflow::ir::Program::new();
-        prog.push(Step::PointwiseMul { elems_per_bank: 0, total_elems: 0, a_bits: 8, b_bits: 8 });
-        prog.push(Step::Reduce { vec_len: 1, bits: 8, vectors_per_bank: 0, total_vectors: 0 });
+        prog.push(Step::PointwiseMul {
+            elems_per_bank: 0.into(),
+            total_elems: 0,
+            a_bits: 8,
+            b_bits: 8,
+        });
+        prog.push(Step::Reduce {
+            vec_len: 1,
+            bits: 8,
+            vectors_per_bank: 0.into(),
+            total_vectors: 0,
+        });
         prog.push(Step::HostScatter { total_bytes: 0 });
-        prog.push(Step::MemTouch { bytes_per_bank: 0, total_bytes: 0 });
+        prog.push(Step::MemTouch { bytes_per_bank: 0.into(), total_bytes: 0 });
         let (stats, _) = ex.run(&prog);
         assert!(stats.latency_ns.is_finite() && stats.latency_ns >= 0.0);
         assert!(stats.total_energy_pj().is_finite());

@@ -71,10 +71,10 @@ cat > results/BENCH_sweep.json <<EOF
 EOF
 echo "==> speedup ${speedup}x — written to results/BENCH_sweep.json"
 
-# Decoder fast path: compressed (Step::Repeat) vs unrolled compile+price
-# wall clock at decode_len in {256, 1024, 4096}. The binary verifies the
-# two encodings price bitwise-identically and writes
-# results/BENCH_decode.json itself.
-echo "==> decode scaling (compressed vs unrolled)"
+# Decode compile and price wall clock, token and layer flows, at
+# decode_len in {256, 1024, 4096, 100000}. The binary verifies the compiled
+# programs price bitwise-identically to their unrolled expansions (up to
+# 4096 tokens) and writes results/BENCH_decode.json itself.
+echo "==> decode scaling (compile and price, token and layer flows)"
 cargo build --offline --release -p transpim-bench --bin decode_scaling >/dev/null
 target/release/decode_scaling

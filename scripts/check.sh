@@ -94,6 +94,7 @@ for required in \
   differential_fuzz::grid_pricing_is_job_count_invariant \
   differential_fuzz::correctable_faults_stay_within_error_budget \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
+  differential_fuzz::layer_flow_decode_folds_per_plateau_exactly \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape \
   obs_export_equivalence::compact_exporters_match_reference_bytes
 do

@@ -20,12 +20,12 @@ fn assert_rejected(out: &Output, needle: &str) {
     assert!(out.stdout.is_empty(), "no report on failure");
 }
 
-fn workload_file(name: &str, heads: usize, d_model: usize) -> String {
+fn workload_file(name: &str, heads: usize, d_model: usize, seq_len: usize) -> String {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let json = format!(
         r#"{{"name":"bad","model":{{"name":"bad","encoder_layers":1,"decoder_layers":0,
         "d_model":{d_model},"heads":{heads},"d_ff":3072,"cross_attention":false}},
-        "seq_len":128,"decode_len":0,"batch":1}}"#
+        "seq_len":{seq_len},"decode_len":0,"batch":1}}"#
     );
     std::fs::write(&path, json).expect("write workload file");
     format!("file:{}", path.display())
@@ -39,13 +39,13 @@ fn zero_acus_per_bank_is_rejected() {
 
 #[test]
 fn zero_heads_in_a_workload_file_is_rejected() {
-    let w = workload_file("zero-heads.json", 0, 768);
+    let w = workload_file("zero-heads.json", 0, 768, 128);
     assert_rejected(&sim(&["--workload", &w]), "heads");
 }
 
 #[test]
 fn heads_that_do_not_divide_d_model_are_rejected() {
-    let w = workload_file("uneven-heads.json", 5, 768);
+    let w = workload_file("uneven-heads.json", 5, 768, 128);
     assert_rejected(&sim(&["--workload", &w, "--dataflow", "layer"]), "divisible");
 }
 
@@ -65,6 +65,18 @@ fn sizes_that_overflow_u32_indices_are_rejected() {
     // Sequence lengths past u32 would be truncated by the sharding.
     assert_rejected(&sim(&["--seq-len", "4294967296"]), "seq_len 4294967296");
     assert_rejected(&sim(&["--seq-len", "4294967297"]), "seq_len 4294967297");
+}
+
+#[test]
+fn sizes_that_overflow_u64_work_counts_are_rejected() {
+    // 3·L·D² multiplies for the Q/K/V projections: 1.2e22, past u64.
+    let w = workload_file("huge-projection.json", 1, 1_000_000, 4_000_000_000);
+    for dataflow in ["token", "layer"] {
+        assert_rejected(
+            &sim(&["--workload", &w, "--dataflow", dataflow]),
+            "3·seq_len·d_model²·batch overflows u64",
+        );
+    }
 }
 
 #[test]

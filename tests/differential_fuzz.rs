@@ -23,10 +23,15 @@
 //!    degradation overhead, and must never error.
 //! 6. **Uncorrectable faults** — an unprotected flip storm must surface as
 //!    a typed `SimError::Uncorrectable`, never a panic or silent success.
+//! 7. **Layer-flow decode vs unrolled** — the per-plateau decode program
+//!    must price bitwise-equal to its unrolling at any bank count a fault
+//!    re-shard produces, with equal push-time totals, and stay
+//!    O(plateaus) steps.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
 use transpim::banksim::{attention_row, attention_row_reference, predicted_aaps, tolerance};
+use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario};
 use transpim::report::DataflowKind;
 use transpim::SimError;
@@ -35,9 +40,11 @@ use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
 use transpim_dataflow::ir::{Program, RepeatCompressor, Step};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
+use transpim_dataflow::{layer_flow, Sharding};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
 use transpim_transformer::softmax::SoftmaxKind;
+use transpim_transformer::workload::Workload;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -395,5 +402,56 @@ proptest! {
             .simulate_degraded(&w, DataflowKind::Token, &scenario)
             .expect_err("unprotected flip storm must fail");
         prop_assert!(matches!(err, SimError::Uncorrectable { .. }), "{}", err);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (7) Layer-flow decode: per-plateau program vs its unrolling
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn layer_flow_decode_folds_per_plateau_exactly(
+        arch in 0u8..4,
+        (enc, dec, heads, dh) in (0usize..2, 1usize..3, 1usize..4, 1usize..4),
+        (seq, decode, batch) in (1usize..40, 1usize..200, 1usize..3),
+        total in 1u32..=64,
+        failed in proptest::collection::vec(0u32..64, 0..8),
+    ) {
+        // Re-sharding around failed banks gives the non-power-of-two bank
+        // counts degraded runs compile for.
+        let sharding = Sharding::around_failed(total, batch as u32, seq as u32, &failed);
+        prop_assume!(sharding.is_some(), "every bank failed");
+        let banks = sharding.map_or(0, |s| s.total_banks);
+        let w = small_workload(enc, dec, heads, dh, 4 * heads * dh, seq, decode, batch);
+        let prog = layer_flow::compile(&w, banks);
+        let unrolled = prog.unroll();
+
+        let arch = arch_for(arch);
+        let (stats, scoped) = Executor::new(arch.clone()).run(&prog);
+        let (u_stats, u_scoped) = Executor::new(arch).run(&unrolled);
+        prop_assert_eq!(stats, u_stats, "compressed pricing diverged from unrolled");
+        prop_assert_eq!(scoped, u_scoped);
+        prop_assert_eq!(totals(&prog), totals(&unrolled));
+        prop_assert_eq!(prog.unrolled_len(), unrolled.len() as u64);
+
+        // At most one top-level step per plateau of the row length
+        // ceil(ctx/N) over the decode contexts ctx = L .. L + decode - 1 —
+        // well inside the (plateaus + 1) × body bound of emitting each
+        // plateau's first block raw.
+        let n = u64::from(banks);
+        let (l, d) = (seq as u64, decode as u64);
+        let plateaus =
+            (l..l + d).map(|ctx| ctx.div_ceil(n).max(1)).collect::<std::collections::BTreeSet<_>>();
+        let prefill = layer_flow::compile(&Workload { decode_len: 0, ..w.clone() }, banks);
+        prop_assert!(
+            prog.len() <= prefill.len() + plateaus.len(),
+            "{} top-level steps for {} plateaus after {} prefill steps",
+            prog.len(),
+            plateaus.len(),
+            prefill.len()
+        );
     }
 }

@@ -103,25 +103,28 @@ fn suite_grid_is_deterministic_across_job_counts() {
 #[test]
 fn gpt_decode_step_count_is_flat_in_decode_len() {
     // The acceptance bar for the compressed IR: the GPT decode program's
-    // step count is O(layers), not O(decode_len × layers).
+    // step count is O(layers), not O(decode_len × layers), in both
+    // dataflows (the layer flow adds one repeat per 2048 tokens).
     let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
-    let mut w = Workload::lm();
-    let mut lens = Vec::new();
-    for decode in [256usize, 1024, 4096] {
-        w.decode_len = decode;
-        let prog = acc.compile(&w, DataflowKind::Token);
-        // The compiled length is dominated by the (uncompressed) prefill,
-        // so the ratio floor grows with the decode length: ≥100× at 256
-        // tokens, ≥1000× at 4096.
-        let floor = if decode >= 4096 { 1000 } else { 100 };
-        assert!(
-            (prog.len() as u64) * floor < prog.unrolled_len(),
-            "decode={decode}: expected ≥{floor}× step compression, got {} vs {}",
-            prog.len(),
-            prog.unrolled_len()
-        );
-        lens.push(prog.len());
+    for dataflow in DataflowKind::ALL {
+        let mut w = Workload::lm();
+        let mut lens = Vec::new();
+        for decode in [256usize, 1024, 4096] {
+            w.decode_len = decode;
+            let prog = acc.compile(&w, dataflow);
+            // The compiled length is dominated by the (uncompressed)
+            // prefill, so the ratio floor grows with the decode length:
+            // ≥100× at 256 tokens, ≥1000× at 4096.
+            let floor = if decode >= 4096 { 1000 } else { 100 };
+            assert!(
+                (prog.len() as u64) * floor < prog.unrolled_len(),
+                "{dataflow:?} decode={decode}: expected ≥{floor}× step compression, got {} vs {}",
+                prog.len(),
+                prog.unrolled_len()
+            );
+            lens.push(prog.len());
+        }
+        let spread = lens.iter().max().unwrap() - lens.iter().min().unwrap();
+        assert!(spread <= 8, "{dataflow:?}: step count should not scale with decode_len: {lens:?}");
     }
-    let spread = lens.iter().max().unwrap() - lens.iter().min().unwrap();
-    assert!(spread <= 8, "step count should not scale with decode_len: {lens:?}");
 }

@@ -4,11 +4,12 @@
 
 use proptest::prelude::*;
 use transpim::arch::{ArchConfig, ArchKind};
+use transpim::exec::Executor;
 use transpim::report::DataflowKind;
 use transpim::Accelerator;
 use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
 use transpim_dataflow::ir::{Program, Step, StepDelta};
-use transpim_dataflow::token_flow;
+use transpim_dataflow::{layer_flow, token_flow};
 use transpim_hbm::config::HbmConfig;
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
@@ -54,6 +55,25 @@ fn compiled_programs_roundtrip() {
     assert_eq!(back, prog);
     assert_eq!(back.len(), prog.len());
     assert_eq!(back.host_bytes(), prog.host_bytes());
+}
+
+#[test]
+fn dumped_layer_flow_decode_roundtrips_and_prices_identically() {
+    // A `--dump-ir` document of a layer-flow decode over 97 banks (four
+    // row-length plateaus): spread per-bank sizes travel as
+    // `{"over_banks": 97}` and price the same after the round trip.
+    let mut w = Workload::lm();
+    w.decode_len = 300;
+    let prog = layer_flow::compile(&w, 97);
+    let json = serde_json::to_string_pretty(&prog).expect("serialize");
+    assert!(json.contains(r#""over_banks": 97"#), "spread per-bank sizes on the wire");
+    let back: Program = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back, prog);
+    let arch = ArchConfig::new(ArchKind::TransPim);
+    let (stats, scoped) = Executor::new(arch.clone()).run(&prog);
+    let (back_stats, back_scoped) = Executor::new(arch).run(&back);
+    assert_eq!(back_stats, stats);
+    assert_eq!(back_scoped, scoped);
 }
 
 #[test]
