@@ -14,9 +14,8 @@
 //! cargo run --release -p transpim-bench --bin decode_scaling -- --reps 9
 //! ```
 //!
-//! Run in release: debug builds re-verify every replayed repeat against a
-//! re-pricing (the equivalence contract), which deliberately erases the
-//! asymptotic win being measured here.
+//! Run in release: debug builds are 10–100× slower, so their timings mean
+//! nothing.
 
 use std::time::Instant;
 use transpim::arch::{ArchConfig, ArchKind};
@@ -111,7 +110,7 @@ fn main() {
         }
     }
     if cfg!(debug_assertions) {
-        note("warning: debug build — replayed repeats re-verify against re-pricing, timings are meaningless");
+        note("warning: debug build — timings are meaningless");
     }
 
     let arch = ArchConfig::new(ArchKind::TransPim);

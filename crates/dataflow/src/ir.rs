@@ -17,10 +17,9 @@
 //! per-iteration increments of its varying size fields. Iteration `i`'s
 //! step `j` is exactly `body[j]` advanced `i` times by `delta[j]`
 //! ([`Step::at`]), so a compressed program denotes precisely the same step
-//! sequence as its [`Program::unroll`]. The [`RepeatCompressor`] folds
-//! per-token blocks into `Repeat` steps opportunistically — a block that is
-//! not affine in the previous one simply flushes, so compression is a pure
-//! encoding choice, never a semantic one.
+//! sequence as its [`Program::unroll`]: compression is a pure encoding
+//! choice, never a semantic one. The compilers emit one `Repeat` per run of
+//! blocks that are affine in the token ([`Step::affine_delta`]).
 //!
 //! A busiest-bank size that is just the step's total spread over the banks
 //! is stored as [`PerBank::Spread`] and derived when the step is priced.
@@ -361,9 +360,9 @@ pub enum Step {
     /// `count` iterations of `body`, where iteration `i`'s step `j` is
     /// `body[j]` advanced `i` times by `delta[j]` ([`Step::at`]). Denotes
     /// exactly the unrolled sequence — the executor prices it either by
-    /// replaying the first iteration's phase stream (all deltas zero) or by
-    /// advancing a scratch copy of the body in place, both byte-identical
-    /// to pricing the unrolled program.
+    /// pricing the first iteration once and multiplying its exact integer
+    /// statistics (all deltas zero) or by advancing a scratch copy of the
+    /// body in place, both byte-identical to pricing the unrolled program.
     Repeat {
         /// Number of iterations.
         count: u64,
@@ -745,131 +744,6 @@ impl Extend<Step> for Program {
     }
 }
 
-/// Folds a stream of per-iteration step blocks into [`Step::Repeat`]s.
-///
-/// Feed one block per loop iteration with [`RepeatCompressor::push_block`]
-/// (consecutive blocks fold while each step is affine in its predecessor,
-/// [`Step::affine_delta`]) or a pre-counted identical block with
-/// [`RepeatCompressor::push_block_times`] (zero-delta runs the compiler
-/// derived arithmetically — the decoder's `ceil(t/N)` plateaus). Call
-/// [`RepeatCompressor::flush`] at the end. Blocks that do not fold are
-/// emitted raw, so the output always unrolls to exactly the input stream.
-#[derive(Debug, Default)]
-pub struct RepeatCompressor {
-    /// Iteration-0 body of the pending run.
-    body: Vec<Step>,
-    /// Committed per-step deltas (empty while only one block is pending).
-    delta: Vec<StepDelta>,
-    /// Iterations accumulated in the pending run (0 = no pending run).
-    count: u64,
-    /// `body` advanced `count` times — what the next block must equal to
-    /// extend the run (maintained incrementally; no per-block allocation).
-    expected: Vec<Step>,
-}
-
-impl RepeatCompressor {
-    /// Fresh compressor with no pending run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn begin(&mut self, block: &mut Vec<Step>) {
-        self.body.clear();
-        self.body.append(block);
-        self.delta.clear();
-        self.expected.clear();
-        self.count = 1;
-    }
-
-    fn advance_expected(&mut self) {
-        for (s, d) in self.expected.iter_mut().zip(&self.delta) {
-            s.advance(d);
-        }
-    }
-
-    /// Append one iteration's block (drained from `block`, which is left
-    /// empty for reuse). Folds into the pending run when affine; flushes
-    /// and restarts otherwise.
-    pub fn push_block(&mut self, prog: &mut Program, block: &mut Vec<Step>) {
-        if block.is_empty() {
-            return;
-        }
-        if self.count == 0 {
-            self.begin(block);
-            return;
-        }
-        if block.len() == self.body.len() {
-            if self.count == 1 && self.delta.is_empty() {
-                // Second block of a candidate run: derive the deltas.
-                let deltas: Option<Vec<StepDelta>> =
-                    self.body.iter().zip(block.iter()).map(|(a, b)| a.affine_delta(b)).collect();
-                if let Some(deltas) = deltas {
-                    self.delta = deltas;
-                    self.count = 2;
-                    self.expected.clear();
-                    self.expected.append(block);
-                    self.advance_expected();
-                    return;
-                }
-            } else if *block == self.expected {
-                self.count += 1;
-                self.advance_expected();
-                block.clear();
-                return;
-            }
-        }
-        self.flush(prog);
-        self.begin(block);
-    }
-
-    /// Append `times` consecutive iterations of one identical block
-    /// (zero delta). Extends a pending zero-delta run of the same block;
-    /// otherwise flushes and starts a new run.
-    pub fn push_block_times(&mut self, prog: &mut Program, block: &mut Vec<Step>, times: u64) {
-        if times == 0 || block.is_empty() {
-            block.clear();
-            return;
-        }
-        if self.count > 0 && self.delta.iter().all(StepDelta::is_zero) && *block == self.body {
-            if self.delta.is_empty() {
-                // A single pending block from push_block: commit zero deltas.
-                self.delta = self.body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
-                self.expected = self.body.clone();
-            }
-            self.count += times;
-            block.clear();
-            return;
-        }
-        self.flush(prog);
-        self.begin(block);
-        self.delta = self.body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
-        self.expected = self.body.clone();
-        self.count = times;
-    }
-
-    /// Emit the pending run: raw steps for a single iteration, one
-    /// [`Step::Repeat`] otherwise.
-    pub fn flush(&mut self, prog: &mut Program) {
-        match self.count {
-            0 => {}
-            1 => {
-                for s in self.body.drain(..) {
-                    prog.push(s);
-                }
-            }
-            _ => prog.push(Step::Repeat {
-                count: self.count,
-                body: std::mem::take(&mut self.body),
-                delta: std::mem::take(&mut self.delta),
-            }),
-        }
-        self.body.clear();
-        self.delta.clear();
-        self.expected.clear();
-        self.count = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1001,89 +875,6 @@ mod tests {
         let u = p.unroll();
         assert_eq!(u.len(), 12);
         assert_eq!(u.total_mul_elems(), 120);
-    }
-
-    #[test]
-    fn compressor_folds_affine_blocks() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = Vec::new();
-        for t in 0..10u64 {
-            block.clear();
-            block.push(Step::scope("dec"));
-            block.push(mul(5 + t, 100 + 3 * t));
-            comp.push_block(&mut prog, &mut block);
-        }
-        comp.flush(&mut prog);
-        assert_eq!(prog.len(), 1, "ten affine blocks fold into one repeat");
-        match &prog.steps()[0] {
-            Step::Repeat { count, body, delta } => {
-                assert_eq!(*count, 10);
-                assert_eq!(body.len(), 2);
-                assert_eq!(delta[1], delta_of(&[1, 3]));
-            }
-            other => panic!("expected a repeat, got {other:?}"),
-        }
-        // Unrolls to exactly the input stream.
-        let u = prog.unroll();
-        assert_eq!(u.len(), 20);
-        assert_eq!(u.steps()[19], mul(5 + 9, 100 + 27));
-    }
-
-    #[test]
-    fn compressor_flushes_non_affine_blocks() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = Vec::new();
-        // Two affine blocks, then a shrinking (non-affine) one.
-        for per_bank in [5u64, 6, 2, 3] {
-            block.clear();
-            block.push(mul(per_bank, per_bank * 10));
-            comp.push_block(&mut prog, &mut block);
-        }
-        comp.flush(&mut prog);
-        // [5,6] folds, [2,3] folds — two repeats.
-        assert_eq!(prog.len(), 2);
-        assert_eq!(prog.unrolled_len(), 4);
-        let u = prog.unroll();
-        let sizes: Vec<u64> = u
-            .steps()
-            .iter()
-            .map(|s| match s {
-                Step::PointwiseMul { elems_per_bank, total_elems, .. } => {
-                    elems_per_bank.of(*total_elems)
-                }
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(sizes, vec![5, 6, 2, 3]);
-    }
-
-    #[test]
-    fn compressor_push_block_times_merges_plateaus() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = vec![mul(5, 100)];
-        comp.push_block_times(&mut prog, &mut block, 4);
-        let mut block = vec![mul(5, 100)];
-        comp.push_block_times(&mut prog, &mut block, 3); // same block: merges
-        let mut block = vec![mul(9, 100)];
-        comp.push_block_times(&mut prog, &mut block, 2); // different: new run
-        comp.flush(&mut prog);
-        assert_eq!(prog.len(), 2);
-        assert_eq!(prog.unrolled_len(), 9);
-        assert_eq!(prog.total_mul_elems(), 9 * 100);
-    }
-
-    #[test]
-    fn compressor_single_block_emits_raw() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = vec![mul(5, 100), Step::HostScatter { total_bytes: 8 }];
-        comp.push_block(&mut prog, &mut block);
-        comp.flush(&mut prog);
-        assert_eq!(prog.len(), 2);
-        assert!(!prog.steps().iter().any(|s| matches!(s, Step::Repeat { .. })));
     }
 
     #[test]

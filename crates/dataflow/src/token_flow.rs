@@ -12,7 +12,7 @@
 //! against its locally-held `K`/`V` columns, and the partial outputs are
 //! combined with the multi-step pairwise reduction tree of Section IV-B2.
 
-use crate::ir::{BankRange, Precision, Program, RepeatCompressor, Step};
+use crate::ir::{BankRange, Precision, Program, Step, StepDelta};
 use crate::sharding::Sharding;
 use serde::{Deserialize, Serialize};
 use transpim_transformer::model::ModelConfig;
@@ -100,17 +100,23 @@ pub fn compile_full(
         match placement {
             DecoderPlacement::Balanced => {
                 // `r_gen = ceil(t/N)` is constant over runs of N tokens:
-                // emit one layer block per plateau and repeat it
-                // arithmetically for every (token, layer) pair in the run.
+                // emit one layer block per plateau and repeat it, with zero
+                // deltas, for every (token, layer) pair in the run. A
+                // single pair is emitted as plain steps.
                 let n = u64::from(shard.banks.count);
-                let mut comp = RepeatCompressor::new();
                 let mut t = 0;
                 while t < decode {
                     let run_end = if t == 0 { 1 } else { (t.div_ceil(n) * n + 1).min(decode) };
-                    comp.push_block_times(&mut prog, &mut block_at(t), (run_end - t) * layers);
+                    let (block, times) = (block_at(t), (run_end - t) * layers);
+                    if times == 1 {
+                        prog.extend(block);
+                    } else {
+                        let delta =
+                            block.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
+                        prog.push(Step::repeat(times, block, delta));
+                    }
                     t = run_end;
                 }
-                comp.flush(&mut prog);
             }
             DecoderPlacement::LastBank => {
                 // `r_gen = t` grows by one per token, and the shard holds at

@@ -8,6 +8,12 @@
 //! `transpim-acu`. Each lump is attributed to one breakdown [`Category`],
 //! which is how the Figure 11 breakdowns are produced.
 //!
+//! # Accounting
+//!
+//! Statistics are exact integer tallies of fixed quanta, so they do not
+//! depend on the order lumps are added in, and a repeated pass can be added
+//! by multiplication ([`Engine::repeat_since`]).
+//!
 //! # Observability
 //!
 //! With an enabled [`SinkHandle`] (`transpim-obs`) attached, every lump is
@@ -20,7 +26,7 @@ use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
 
 /// One priced phase whose makespan is known in closed form (every bank runs
 /// the same PIM batch, or `n` identical ring steps): the unit the executor
-/// prices, the engine runs and the repeat-replay log records.
+/// prices and the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lump {
     /// Breakdown category of the whole phase.
@@ -71,6 +77,106 @@ pub mod tracks {
     }
 }
 
+/// Quanta per unit: every lump's latency, energy and bytes are tallied as
+/// whole multiples of 2⁻³² ns, pJ and bytes. Scaling by a power of two is
+/// exact in f64, so a lump is rounded once, down to a whole quantum.
+const QUANTA_PER_UNIT: f64 = 4_294_967_296.0;
+
+/// 2⁶³, past which a count of quanta no longer converts as an `i64`.
+const I64_LIMIT: f64 = 9_223_372_036_854_775_808.0;
+
+/// `value` in whole quanta, rounded down. Values under 2³¹ units take the
+/// native `i64` conversion.
+fn quanta(value: f64) -> u128 {
+    let scaled = value * QUANTA_PER_UNIT;
+    if scaled < I64_LIMIT {
+        scaled as i64 as u128
+    } else {
+        scaled as u128
+    }
+}
+
+fn units(quanta: u128) -> f64 {
+    quanta as f64 / QUANTA_PER_UNIT
+}
+
+/// Statistics as exact integer tallies of quanta, one `u128` count per
+/// slot: `c` for category `c`'s time, `ENERGY + c` for its energy, and
+/// [`BYTES`]. Integer addition is associative, so a tally does not depend
+/// on the order its lumps ran in; [`SimStats`] is its f64 projection.
+///
+/// The counts are kept as `u64` halves: adding a lump is then one native
+/// add per slot, and the carry into the high half is almost never taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    low: [u64; 9],
+    high: [u64; 9],
+}
+
+const ENERGY: usize = 4;
+const BYTES: usize = 8;
+
+impl Tally {
+    fn count(&self, slot: usize) -> u128 {
+        u128::from(self.high[slot]) << 64 | u128::from(self.low[slot])
+    }
+
+    fn set(&mut self, slot: usize, count: u128) {
+        self.low[slot] = count as u64;
+        self.high[slot] = (count >> 64) as u64;
+    }
+
+    fn add(&mut self, slot: usize, quanta: u128) {
+        let (low, carry) = self.low[slot].overflowing_add(quanta as u64);
+        self.low[slot] = low;
+        let high = (quanta >> 64) as u64 + u64::from(carry);
+        if high != 0 {
+            self.high[slot] += high;
+        }
+    }
+
+    fn latency(&self) -> u128 {
+        (0..4).map(|c| self.count(c)).sum()
+    }
+
+    /// Fold `other` in `times` times.
+    fn add_times(&mut self, other: &Tally, times: u128) {
+        for slot in 0..9 {
+            self.set(slot, self.count(slot) + other.count(slot) * times);
+        }
+    }
+
+    /// What was tallied since `mark`, an earlier copy of this tally.
+    fn since(&self, mark: &Tally) -> Tally {
+        let mut pass = Tally::default();
+        for slot in 0..9 {
+            pass.set(slot, self.count(slot) - mark.count(slot));
+        }
+        pass
+    }
+
+    fn stats(&self) -> SimStats {
+        SimStats {
+            latency_ns: units(self.latency()),
+            time_ns: std::array::from_fn(|c| units(self.count(c))),
+            energy_pj: std::array::from_fn(|c| units(self.count(ENERGY + c))),
+            bytes_moved: units(self.count(BYTES)),
+        }
+    }
+}
+
+/// One scope label and its tally, `None` until the scope runs a lump.
+#[derive(Debug, Clone)]
+struct Scope {
+    label: String,
+    tally: Option<Tally>,
+}
+
+/// The per-scope tallies at one point of a run, for
+/// [`Engine::repeat_since`].
+#[derive(Debug, Clone)]
+pub struct Mark(Vec<Option<Tally>>);
+
 /// The phase engine: runs lumps, advances simulated time, and accumulates
 /// global and per-scope statistics.
 ///
@@ -84,21 +190,15 @@ pub mod tracks {
 /// e.set_scope("fc");
 /// e.run(Lump::new(Category::Arithmetic, 100.0, 5_000.0, 0.0));
 /// assert_eq!(e.stats().latency_ns, 100.0);
-/// assert_eq!(e.scoped().get("fc").unwrap().latency_ns, 100.0);
+/// assert_eq!(e.scoped().get("fc").map(|s| s.latency_ns), Some(100.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    stats: SimStats,
-    /// Every scope's statistics as of the last scope change; the current
-    /// scope's running entry is `slot`.
-    scoped: ScopedStats,
-    scope: String,
-    /// The current scope's statistics, accumulated here rather than looked
-    /// up per lump, and written back to `scoped` on the next scope change.
-    slot: SimStats,
-    /// Whether `slot` is an entry of `scoped`: the scope had one when it
-    /// became current, or has recorded a lump since.
-    slot_live: bool,
+    /// Every scope seen so far, in first-seen order; the global statistics
+    /// are their sum.
+    scopes: Vec<Scope>,
+    /// Index of the current scope in `scopes`.
+    current: usize,
     sink: SinkHandle,
     latency_scale: f64,
     tracks_named: bool,
@@ -108,19 +208,6 @@ pub struct Engine {
 /// `util.<label>`, indexed by [`Category::index`].
 const UTIL_COUNTERS: [&str; 4] =
     ["util.data-movement", "util.arithmetic", "util.reduction", "util.other"];
-
-/// One recorded pricing action from a repeat body's first iteration: the
-/// exact statistics updates `Engine::run` applied, minus the step walk
-/// that produced them. Replaying the log repeats the identical f64
-/// operation sequence, so replayed statistics are byte-identical to
-/// re-pricing the body.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LumpAction {
-    /// A `set_scope` call.
-    Scope(String),
-    /// A lump, as handed to [`Engine::run`] (pre-`latency_scale`).
-    Lump(Lump),
-}
 
 impl Default for Engine {
     fn default() -> Self {
@@ -132,11 +219,8 @@ impl Engine {
     /// New engine at time zero, with the null (disabled) sink.
     pub fn new() -> Self {
         Self {
-            stats: SimStats::new(),
-            scoped: ScopedStats::new(),
-            scope: String::from("init"),
-            slot: SimStats::new(),
-            slot_live: false,
+            scopes: vec![Scope { label: String::from("init"), tally: None }],
+            current: 0,
             sink: SinkHandle::null(),
             latency_scale: 1.0,
             tracks_named: false,
@@ -162,7 +246,18 @@ impl Engine {
     /// Current simulated time: nanoseconds elapsed since the engine
     /// started. The next lump's span starts here.
     pub fn now_ns(&self) -> f64 {
-        self.stats.latency_ns
+        units(self.busy().iter().sum())
+    }
+
+    /// Simulated time spent so far in each category, in quanta.
+    fn busy(&self) -> [u128; 4] {
+        let mut busy = [0; 4];
+        for tally in self.scopes.iter().filter_map(|s| s.tally.as_ref()) {
+            for (c, time) in busy.iter_mut().enumerate() {
+                *time += tally.count(c);
+            }
+        }
+        busy
     }
 
     /// The latency stretch applied to every lump (≥ 1; refresh model).
@@ -185,48 +280,46 @@ impl Engine {
     /// Set the label under which subsequent lumps are recorded (e.g. the
     /// current Transformer layer kind).
     pub fn set_scope(&mut self, scope: &str) {
-        if self.scope != scope {
-            self.write_back();
-            self.scope.clear();
-            self.scope.push_str(scope);
-            let entry = self.scoped.get(scope);
-            self.slot_live = entry.is_some();
-            self.slot = entry.copied().unwrap_or_default();
-        }
-    }
-
-    /// Store the current scope's slot in the per-scope statistics.
-    fn write_back(&mut self) {
-        if self.slot_live {
-            *self.scoped.entry_mut(&self.scope) = self.slot;
+        if self.scopes[self.current].label != scope {
+            self.current = match self.scopes.iter().position(|s| s.label == scope) {
+                Some(i) => i,
+                None => {
+                    self.scopes.push(Scope { label: scope.to_owned(), tally: None });
+                    self.scopes.len() - 1
+                }
+            };
         }
     }
 
     /// Run one lump; returns its scaled makespan in nanoseconds.
     pub fn run(&mut self, lump: Lump) -> f64 {
-        let start_ns = self.stats.latency_ns;
-        let latency = self.record(lump);
         if self.emitting() {
+            let start_ns = self.now_ns();
+            let latency = self.record(lump);
             self.emit(lump, start_ns, latency);
+            latency
+        } else {
+            self.record(lump)
         }
-        latency
     }
 
-    /// The statistics update of one lump — the only place the engine
-    /// accumulates, so [`Engine::run`] and [`Engine::replay_lumps`] perform
-    /// the same f64 operations by construction.
+    /// Add one lump to the current scope's tally.
     fn record(&mut self, lump: Lump) -> f64 {
         let Lump { category, latency_ns, energy_pj, bytes } = lump;
         debug_assert!(latency_ns >= 0.0 && energy_pj >= 0.0 && bytes >= 0.0);
         let latency = latency_ns * self.latency_scale;
-        self.stats.record(category, latency, energy_pj, bytes);
-        self.slot.record(category, latency, energy_pj, bytes);
-        self.slot_live = true;
+        let c = category.index();
+        let tally = self.scopes[self.current].tally.get_or_insert_with(Tally::default);
+        tally.add(c, quanta(latency));
+        tally.add(ENERGY + c, quanta(energy_pj));
+        tally.add(BYTES, quanta(bytes));
         latency
     }
 
     /// The span of a just-recorded lump on its category's track, then the
     /// category's cumulative busy fraction (a utilization-over-time curve).
+    // Out of line, so the untraced path through `run` stays small.
+    #[cold]
     fn emit(&mut self, lump: Lump, start_ns: f64, latency: f64) {
         if !self.tracks_named {
             for c in Category::ALL {
@@ -238,7 +331,7 @@ impl Engine {
         let category = lump.category;
         self.sink.span(
             SpanEvent::new(
-                self.scope.as_str(),
+                self.scopes[self.current].label.as_str(),
                 category.label(),
                 tracks::category(category),
                 start_ns,
@@ -247,59 +340,74 @@ impl Engine {
             .with_arg("energy_pj", lump.energy_pj)
             .with_arg("bytes", lump.bytes),
         );
-        if self.stats.latency_ns > 0.0 {
+        let busy = self.busy();
+        let elapsed: u128 = busy.iter().sum();
+        if elapsed > 0 {
+            let now_ns = units(elapsed);
             self.sink.counter(CounterEvent::sample(
                 UTIL_COUNTERS[category.index()],
                 tracks::category(category),
-                self.stats.latency_ns,
+                now_ns,
                 "busy_frac",
-                self.stats.time_ns[category.index()] / self.stats.latency_ns,
+                units(busy[category.index()]) / now_ns,
             ));
         }
     }
 
-    /// Re-apply a recorded lump-action log `times` times.
+    /// The per-scope statistics as of now, for [`Engine::repeat_since`].
+    pub fn mark(&self) -> Mark {
+        Mark(self.scopes.iter().map(|s| s.tally).collect())
+    }
+
+    /// Run `times` more copies of everything run since `mark`, as one
+    /// multiplication per scope.
     ///
-    /// This is the compressed-pricing fast path: the executor prices a
-    /// zero-delta repeat body once through [`Engine::run`] while logging
-    /// each lump, then replays the log for the remaining iterations.
-    /// Replay and `run` share one statistics update, so the resulting
-    /// [`SimStats`]/[`ScopedStats`] are byte-identical to walking the
-    /// unrolled steps. Stats-only: callers must not replay while emission
-    /// is on (spans would be lost).
-    pub fn replay_lumps(&mut self, actions: &[LumpAction], times: u64) {
-        debug_assert!(!self.emitting(), "replay_lumps is stats-only; emit by re-running the body");
-        for _ in 0..times {
-            for action in actions {
-                match action {
-                    LumpAction::Scope(s) => self.set_scope(s),
-                    LumpAction::Lump(lump) => {
-                        self.record(*lump);
-                    }
-                }
+    /// This is how the executor prices a zero-delta repeat: it runs the
+    /// body once and repeats it `count − 1` times. The tallies are
+    /// integers, so the statistics equal running the body `count` times,
+    /// bit for bit. Stats-only: callers must not repeat while emission is
+    /// on (spans would be lost).
+    pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
+        debug_assert!(!self.emitting(), "repeat_since is stats-only; emit by re-running the body");
+        let times = u128::from(times);
+        for (i, scope) in self.scopes.iter_mut().enumerate() {
+            if let Some(tally) = &mut scope.tally {
+                let before = mark.0.get(i).copied().flatten().unwrap_or_default();
+                let pass = tally.since(&before);
+                tally.add_times(&pass, times);
             }
         }
     }
 
+    /// The sum of the scopes' tallies.
+    fn total(&self) -> Tally {
+        let mut total = Tally::default();
+        for tally in self.scopes.iter().filter_map(|s| s.tally.as_ref()) {
+            total.add_times(tally, 1);
+        }
+        total
+    }
+
     /// Global statistics accumulated so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    pub fn stats(&self) -> SimStats {
+        self.total().stats()
     }
 
     /// Per-scope statistics accumulated so far, the current scope's
     /// included.
     pub fn scoped(&self) -> ScopedStats {
-        let mut scoped = self.scoped.clone();
-        if self.slot_live {
-            *scoped.entry_mut(&self.scope) = self.slot;
+        let mut scoped = ScopedStats::new();
+        for scope in &self.scopes {
+            if let Some(tally) = &scope.tally {
+                *scoped.entry_mut(&scope.label) = tally.stats();
+            }
         }
         scoped
     }
 
     /// Consume the engine, returning `(global, per-scope)` statistics.
-    pub fn into_stats(mut self) -> (SimStats, ScopedStats) {
-        self.write_back();
-        (self.stats, self.scoped)
+    pub fn into_stats(self) -> (SimStats, ScopedStats) {
+        (self.stats(), self.scoped())
     }
 }
 
@@ -338,33 +446,26 @@ mod tests {
     }
 
     #[test]
-    fn replayed_lumps_match_rerun_lumps_exactly() {
-        // The compressed-pricing contract: replaying a recorded log N
-        // times is byte-identical to running the same lumps N times.
-        let fc = Lump::new(Category::Arithmetic, 5.3, 1.7, 0.0);
-        let attn = Lump::new(Category::DataMovement, 3.9, 2.2, 17.0);
-        let log = vec![
-            LumpAction::Scope("dec.fc".to_string()),
-            LumpAction::Lump(fc),
-            LumpAction::Scope("dec.attn".to_string()),
-            LumpAction::Lump(attn),
-        ];
+    fn repeated_pass_matches_rerun_passes_exactly() {
+        // A zero-delta repeat runs its body once and multiplies the pass:
+        // that must be bit-identical to running the body every time.
         let run_once = |e: &mut Engine| {
             e.set_scope("dec.fc");
-            e.run(fc);
+            e.run(Lump::new(Category::Arithmetic, 5.3, 1.7, 0.0));
             e.set_scope("dec.attn");
-            e.run(attn);
+            e.run(Lump::new(Category::DataMovement, 3.9, 2.2, 17.0));
         };
-        let mut replayed = Engine::new();
-        replayed.set_latency_scale(1.25);
-        let mut rerun = replayed.clone();
-        run_once(&mut replayed);
-        replayed.replay_lumps(&log, 6);
+        let mut repeated = Engine::new();
+        repeated.set_latency_scale(1.25);
+        let mut rerun = repeated.clone();
+        let mark = repeated.mark();
+        run_once(&mut repeated);
+        repeated.repeat_since(&mark, 6);
         for _ in 0..7 {
             run_once(&mut rerun);
         }
-        assert_eq!(replayed.stats(), rerun.stats());
-        assert_eq!(replayed.scoped(), rerun.scoped());
+        assert_eq!(repeated.stats(), rerun.stats());
+        assert_eq!(repeated.scoped(), rerun.scoped());
     }
 
     #[test]
@@ -391,8 +492,10 @@ mod tests {
         e.set_scope("b");
         e.run(Lump::new(Category::DataMovement, 7.0, 2.0, 16.0));
         assert_eq!(e.stats().latency_ns, 12.0);
-        assert_eq!(e.scoped().get("a").unwrap().latency_ns, 5.0);
-        assert_eq!(e.scoped().get("b").unwrap().latency_ns, 7.0);
-        assert_eq!(e.scoped().get("b").unwrap().bytes_moved, 16.0);
+        let scoped = e.scoped();
+        let scope = |label| *scoped.get(label).expect("the scope ran a lump");
+        assert_eq!(scope("a").latency_ns, 5.0);
+        assert_eq!(scope("b").latency_ns, 7.0);
+        assert_eq!(scope("b").bytes_moved, 16.0);
     }
 }

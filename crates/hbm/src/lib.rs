@@ -32,6 +32,8 @@
 //! assert_eq!(cfg.geometry.capacity_bytes(), 64 << 30); // 64 GiB
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod command;
 pub mod config;
 pub mod energy;
@@ -43,7 +45,7 @@ pub mod timing;
 
 pub use config::{ConfigError, HbmConfig};
 pub use energy::EnergyParams;
-pub use engine::{Engine, Lump, LumpAction};
+pub use engine::{Engine, Lump};
 pub use geometry::{BankCoord, BankId, HbmGeometry};
 pub use resource::{ResourceId, ResourceMap};
 pub use stats::{Category, SimStats};

@@ -250,7 +250,7 @@ mod tests {
         s.entry_mut("fc").record(Category::Reduction, 3.0, 5.0, 0.0);
         let t = s.total();
         assert_eq!(t.latency_ns, 15.0);
-        assert_eq!(s.get("fc").unwrap().latency_ns, 8.0);
+        assert_eq!(s.get("fc").expect("fc recorded two phases").latency_ns, 8.0);
         assert!(s.get("nope").is_none());
     }
 }

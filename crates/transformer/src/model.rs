@@ -279,19 +279,23 @@ impl ModelConfig {
 
     /// MAC count of one encoder block on an `L`-token sequence:
     /// FC projections (4 L D²), attention score + context (2 L² D),
-    /// FFN (2 L D D_ff).
-    pub fn encoder_layer_macs(&self, l: u64) -> u64 {
-        let d = self.d_model as u64;
-        4 * l * d * d + 2 * l * l * d + 2 * l * d * self.d_ff as u64
+    /// FFN (2 L D D_ff). Counted in `u128`, so it is exact for every shape
+    /// whose work sizes fit in `u64` (see `Workload::validate`).
+    pub fn encoder_layer_macs(&self, l: u64) -> u128 {
+        let (l, d, dff) = (u128::from(l), self.d_model as u128, self.d_ff as u128);
+        4 * l * d * d + 2 * l * l * d + 2 * l * d * dff
     }
 
     /// MAC count of one decoder block generating the token at position `t`
-    /// with an encoder context of `l_ctx` tokens (0 for decoder-only).
-    pub fn decoder_step_macs(&self, t: u64, l_ctx: u64) -> u64 {
-        let d = self.d_model as u64;
+    /// with an encoder context of `l_ctx` tokens (0 for decoder-only):
+    /// affine in `t`, with slope `2 D`. Counted in `u128` like
+    /// [`ModelConfig::encoder_layer_macs`].
+    pub fn decoder_step_macs(&self, t: u64, l_ctx: u64) -> u128 {
+        let (t, l_ctx) = (u128::from(t), u128::from(l_ctx));
+        let (d, dff) = (self.d_model as u128, self.d_ff as u128);
         let self_attn = 4 * d * d + 2 * t * d;
         let cross = if self.cross_attention { 2 * d * d + 2 * l_ctx * d + 2 * d * d } else { 0 };
-        let ffn = 2 * d * self.d_ff as u64;
+        let ffn = 2 * d * dff;
         self_attn + cross + ffn
     }
 }

@@ -142,9 +142,12 @@ impl Workload {
                 return Err(ModelError::OutOfRange { field, value, min });
             }
         }
-        match self.overflowing_size() {
-            Some(size) => Err(ModelError::TooLarge { size }),
-            None => Ok(()),
+        if let Some(size) = self.overflowing_size() {
+            return Err(ModelError::TooLarge { size });
+        }
+        match self.checked_total_macs().and_then(|macs| macs.checked_mul(2)) {
+            Some(_) => Ok(()),
+            None => Err(ModelError::TooLarge { size: "total ops" }),
         }
     }
 
@@ -184,17 +187,35 @@ impl Workload {
     /// Total MACs of one batch: encoder stack per sequence plus the decode
     /// loop (self-attention grows with the generated prefix; cross-attention
     /// spans the encoder context).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`, which [`Workload::validate`]
+    /// rejects.
     pub fn total_macs(&self) -> u64 {
-        let m = &self.model;
-        let enc = m.encoder_layers as u64 * m.encoder_layer_macs(self.seq_len as u64);
-        let ctx = if m.cross_attention { self.seq_len as u64 } else { 0 };
-        let mut dec = 0u64;
-        for t in 0..self.decode_len as u64 {
-            // Decoder-only models attend over context + generated prefix.
-            let prefix = if m.cross_attention { t + 1 } else { self.seq_len as u64 + t + 1 };
-            dec += m.decoder_layers as u64 * m.decoder_step_macs(prefix, ctx);
+        self.checked_total_macs().expect("validated workloads count their MACs in u64")
+    }
+
+    /// [`Workload::total_macs`] in closed form, or `None` when it overflows
+    /// `u64`. A decode step's MACs are affine in its prefix `p` with slope
+    /// `2·d_model`, and the prefix grows by one per generated token, so the
+    /// `D` steps sum to `D·f(p₀) + d_model·D·(D − 1)`. Every per-layer count
+    /// is exact in `u128` once the work sizes fit in `u64`.
+    fn checked_total_macs(&self) -> Option<u64> {
+        if self.overflowing_size().is_some() {
+            return None;
         }
-        self.batch as u64 * (enc + dec)
+        let m = &self.model;
+        let l = self.seq_len as u64;
+        // Decoder-only models attend over context + generated prefix.
+        let (first, ctx) = if m.cross_attention { (1, l) } else { (l + 1, 0) };
+        let steps = self.decode_len as u128;
+        let growth =
+            (m.d_model as u128).checked_mul(steps.checked_mul(steps.saturating_sub(1))?)?;
+        let dec = steps.checked_mul(m.decoder_step_macs(first, ctx))?.checked_add(growth)?;
+        let enc = (m.encoder_layers as u128).checked_mul(m.encoder_layer_macs(l))?;
+        let layers = enc.checked_add((m.decoder_layers as u128).checked_mul(dec)?)?;
+        u64::try_from(layers.checked_mul(self.batch as u128)?).ok()
     }
 
     /// Total arithmetic operations (2 ops per MAC) — the GOP numerator in
@@ -223,8 +244,12 @@ mod tests {
             assert_eq!(w.validate(), Ok(()), "{}", w.name);
         }
         let max = u32::MAX as usize;
-        let edge = Workload { decode_len: max, ..Workload::lm() };
+        // The longest lm decode whose op count fits in u64: 1.8e19 ops.
+        let edge = Workload { decode_len: 19_365_493, ..Workload::lm() };
         assert_eq!(edge.validate(), Ok(()));
+        assert_eq!(edge.total_ops(), 18_446_743_742_358_650_880);
+        let err = Workload { decode_len: 19_365_494, ..Workload::lm() }.validate();
+        assert_eq!(err, Err(ModelError::TooLarge { size: "total ops" }));
         // A u32::MAX-token sequence is indexable, but its attention
         // multiplies overflow u64.
         let err = Workload { seq_len: max, ..Workload::lm() }.validate().unwrap_err();
@@ -248,6 +273,26 @@ mod tests {
         let short = Workload::imdb().total_macs() / Workload::imdb().batch as u64;
         let long = Workload::pubmed().total_macs();
         assert!(long > 50 * short);
+    }
+
+    #[test]
+    fn closed_form_macs_match_the_decode_loop() {
+        for mut w in Workload::paper_suite() {
+            for decode_len in [0, 1, 2, 7, 300] {
+                w.decode_len = decode_len;
+                let m = &w.model;
+                let l = w.seq_len as u64;
+                let enc = m.encoder_layers as u128 * m.encoder_layer_macs(l);
+                let dec: u128 = (0..decode_len as u64)
+                    .map(|t| match m.cross_attention {
+                        true => m.decoder_step_macs(t + 1, l),
+                        false => m.decoder_step_macs(l + t + 1, 0),
+                    })
+                    .sum();
+                let looped = w.batch as u128 * (enc + m.decoder_layers as u128 * dec);
+                assert_eq!(u128::from(w.total_macs()), looped, "{} decode {decode_len}", w.name);
+            }
+        }
     }
 
     #[test]

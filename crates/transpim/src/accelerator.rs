@@ -43,7 +43,8 @@ pub struct Accelerator {
 /// let chrome = ChromeTraceSink::shared();
 /// let sink = SinkHandle::from_shared(chrome.clone());
 /// let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
-/// let report = acc.run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) }).unwrap();
+/// let sim = Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) };
+/// let report = acc.run(sim).expect("a fault-free run cannot fail");
 /// assert_eq!(report.stats, acc.simulate(&w, DataflowKind::Token).stats);
 /// assert!(!chrome.borrow().is_empty());
 /// ```
@@ -222,7 +223,7 @@ mod tests {
                 w.model.encoder_layers = 1;
                 let reused = acc
                     .run(Simulation { executor: Some(&mut shared), ..Simulation::new(&w, df) })
-                    .unwrap();
+                    .expect("a fault-free run cannot fail");
                 let fresh = acc.simulate(&w, df);
                 assert_eq!(reused.stats, fresh.stats, "{df} @ {seq_len}");
                 assert_eq!(reused.scoped, fresh.scoped, "{df} @ {seq_len}");
@@ -250,10 +251,10 @@ mod tests {
             SinkHandle::from_shared(metrics.clone()),
         ]);
         let sim = Simulation { sink, executor: exec, ..Simulation::new(w, DataflowKind::Token) };
-        let report = acc.run(sim).unwrap();
-        let trace = chrome.borrow().to_json_string().unwrap();
-        let metrics = metrics.borrow().to_json_string().unwrap();
-        [report.to_json().unwrap(), trace, metrics]
+        let report = acc.run(sim).expect("a fault-free run cannot fail");
+        let trace = chrome.borrow().to_json_string().expect("trace serializes");
+        let metrics = metrics.borrow().to_json_string().expect("metrics serialize");
+        [report.to_json().expect("report serializes"), trace, metrics]
     }
 
     #[test]
@@ -307,9 +308,10 @@ mod tests {
         let plain = acc.simulate(&w, DataflowKind::Token);
         let chrome = ChromeTraceSink::shared();
         let sink = SinkHandle::from_shared(chrome.clone());
-        let traced =
-            acc.run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) }).unwrap();
-        let trace = chrome.borrow().to_json_string().unwrap();
+        let traced = acc
+            .run(Simulation { sink, ..Simulation::new(&w, DataflowKind::Token) })
+            .expect("fault-free");
+        let trace = chrome.borrow().to_json_string().expect("trace serializes");
         assert_eq!(plain.stats, traced.stats);
         assert!(serde_json::from_str::<serde_json::Value>(&trace).is_ok());
     }

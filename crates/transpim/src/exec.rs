@@ -17,9 +17,8 @@
 //!
 //! Pricing has two halves. `Executor::cost` maps one step to at most two
 //! lumps from the cost models and the memoized schedules; it never sees
-//! the engine, the sink, the replay log or a fault session. One emission
-//! loop owns the rest: trace detail, fault gating, replay recording and
-//! running each lump on the engine.
+//! the engine, the sink or a fault session. One emission loop owns the
+//! rest: trace detail, fault gating and running each lump on the engine.
 //!
 //! Ring steps, one-to-all broadcasts and reduction trees are memoized in
 //! one schedule cache keyed by their structure, since the decoder repeats
@@ -38,7 +37,7 @@ use transpim_acu::ring::{
 };
 use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
 use transpim_fault::{FaultSession, FlipOutcome};
-use transpim_hbm::engine::{tracks, Engine, Lump, LumpAction};
+use transpim_hbm::engine::{tracks, Engine, Lump};
 use transpim_hbm::geometry::BankId;
 use transpim_hbm::resource::ResourceMap;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -166,11 +165,8 @@ fn lump(category: Category, (latency_ns, energy_pj): (f64, f64), bytes: f64) -> 
 struct Run<'s> {
     engine: Engine,
     /// Gates every lump. Absent when the session perturbs nothing, so
-    /// such runs keep the repeat-replay fast path.
+    /// such runs keep the zero-delta repeat fast path.
     session: Option<&'s mut FaultSession>,
-    /// The lump stream of a repeat body's first iteration, while it is
-    /// being recorded for [`Engine::replay_lumps`].
-    log: Option<Vec<LumpAction>>,
     /// Ring and tree topologies that already emitted one fully detailed
     /// per-hop exemplar. The decoder prices the same topology thousands of
     /// times (with per-step byte counts); later occurrences collapse to a
@@ -180,7 +176,7 @@ struct Run<'s> {
 
 impl<'s> Run<'s> {
     fn new(engine: Engine, session: Option<&'s mut FaultSession>) -> Self {
-        Self { engine, session, log: None, detailed: HashSet::new() }
+        Self { engine, session, detailed: HashSet::new() }
     }
 }
 
@@ -338,9 +334,6 @@ impl Executor {
             i += 1;
             match step {
                 Step::Scope(label) => {
-                    if let Some(log) = &mut run.log {
-                        log.push(LumpAction::Scope(label.to_string()));
-                    }
                     run.engine.set_scope(label);
                     continue;
                 }
@@ -399,10 +392,8 @@ impl Executor {
         lumps[1] = mul;
     }
 
-    /// Gate a lump through the fault session (when one is attached), record
-    /// it for replay (when recording) and run it. Every lump the executor
-    /// prices flows through here, so a recorded repeat body replays the
-    /// exact lump stream.
+    /// Gate a lump through the fault session (when one is attached) and
+    /// run it. Every lump the executor prices flows through here.
     ///
     /// # Errors
     ///
@@ -420,9 +411,6 @@ impl Executor {
                 }
             }
             lump = self.degrade(&run.engine, sess, lump)?;
-        }
-        if let Some(log) = &mut run.log {
-            log.push(LumpAction::Lump(lump));
         }
         run.engine.run(lump);
         Ok(())
@@ -651,11 +639,11 @@ impl Executor {
     /// Two strategies, both denoting exactly the unrolled pricing and
     /// emitting exactly the unrolled trace:
     ///
-    /// * **replay** (zero deltas, nothing to emit, no session, not already
-    ///   recording): price iteration 0 once while recording its lump
-    ///   stream, then [`Engine::replay_lumps`] the remaining `count - 1`
-    ///   iterations — the same f64 operations in the same order, so
-    ///   byte-identical statistics at O(body) step-walk cost;
+    /// * **multiply** (zero deltas, nothing to emit, no session): price
+    ///   iteration 0 once, then [`Engine::repeat_since`] adds the remaining
+    ///   `count - 1` iterations as one multiplication per scope. The engine
+    ///   tallies integers, so the statistics are bit-identical to the
+    ///   unrolled pricing at O(body) cost;
     /// * **in-place advance** (non-zero deltas, or emission is on, or a
     ///   session draws per lump): walk a scratch copy of the body per
     ///   iteration. Steps with a zero delta are costed once per repeat;
@@ -663,8 +651,7 @@ impl Executor {
     ///   Fault gating, trace detail and pipelined-ring fusion still run per
     ///   step, in order, so every lump reaches the engine as unrolled.
     ///
-    /// Debug builds verify the replay against an actual re-pricing and the
-    /// final scratch body against [`Step::at`].
+    /// Debug builds verify the final scratch body against [`Step::at`].
     fn repeat(
         &mut self,
         count: u64,
@@ -678,29 +665,10 @@ impl Executor {
         let zero_delta = delta.iter().all(StepDelta::is_zero);
         // Transient-flip draws advance per lump, so under a session every
         // iteration is priced live.
-        if zero_delta && !run.engine.emitting() && run.log.is_none() && run.session.is_none() {
-            run.log = Some(Vec::new());
+        if zero_delta && !run.engine.emitting() && run.session.is_none() {
+            let mark = run.engine.mark();
             self.segment(body, &[], run)?;
-            let recorded = run.log.take().unwrap_or_default();
-            #[cfg(debug_assertions)]
-            let mut check = Run::new(run.engine.clone(), None);
-            run.engine.replay_lumps(&recorded, count - 1);
-            #[cfg(debug_assertions)]
-            {
-                for _ in 1..count {
-                    let _ = self.segment(body, &[], &mut check);
-                }
-                debug_assert_eq!(
-                    check.engine.stats(),
-                    run.engine.stats(),
-                    "replayed repeat stats diverged"
-                );
-                debug_assert_eq!(
-                    check.engine.scoped(),
-                    run.engine.scoped(),
-                    "replayed repeat scopes diverged"
-                );
-            }
+            run.engine.repeat_since(&mark, count - 1);
             return Ok(());
         }
 
@@ -1230,7 +1198,7 @@ mod tests {
         let (traced, traced_scoped, trace) = traced(arch, &prog);
         assert_eq!(plain, traced, "tracing must not perturb the statistics");
         assert_eq!(plain_scoped, traced_scoped);
-        let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(&trace).expect("trace is JSON");
         let events = parsed.as_array().expect("chrome trace is a JSON array");
         assert!(!events.is_empty(), "a real program must emit events");
         // Ring-hop spans from the communication scheduler are present.

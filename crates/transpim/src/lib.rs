@@ -42,6 +42,8 @@
 //! assert!(report.utilization() > 0.0 && report.utilization() <= 1.0);
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod accelerator;
 pub mod arch;
 pub mod banksim;

@@ -177,13 +177,13 @@ mod tests {
         // Wire-shape pin: `faults: None` must leave the JSON identical to
         // pre-fault-subsystem reports, and a populated field round-trips.
         let r = report();
-        let j = r.to_json().unwrap();
+        let j = r.to_json().expect("report serializes");
         assert!(!j.contains("faults"));
         let mut with = report();
         with.faults = Some(FaultStats::default());
-        let j = with.to_json().unwrap();
+        let j = with.to_json().expect("report serializes");
         assert!(j.contains("\"faults\""));
-        let back: SimReport = serde_json::from_str(&j).unwrap();
+        let back: SimReport = serde_json::from_str(&j).expect("report parses back");
         assert_eq!(back, with);
     }
 
@@ -202,8 +202,8 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let r = report();
-        let j = r.to_json().unwrap();
-        let back: SimReport = serde_json::from_str(&j).unwrap();
+        let j = r.to_json().expect("report serializes");
+        let back: SimReport = serde_json::from_str(&j).expect("report parses back");
         assert_eq!(back, r);
     }
 

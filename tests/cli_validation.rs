@@ -2,7 +2,8 @@
 //! and exit status 1, instead of panicking or printing a meaningless
 //! result.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_transpim-sim")).args(args).output().expect("run transpim-sim")
@@ -77,6 +78,29 @@ fn sizes_that_overflow_u64_work_counts_are_rejected() {
             "3·seq_len·d_model²·batch overflows u64",
         );
     }
+}
+
+#[test]
+fn decode_loops_whose_op_count_overflows_u64_are_rejected_at_once() {
+    // lm at u32::MAX generated tokens performs 9.1e23 ops. Pricing it would
+    // not finish, so it must be refused before compiling; a run that is
+    // still going after the deadline is killed and fails the test.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_transpim-sim"))
+        .args(["--workload", "lm", "--decode", "4294967295"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run transpim-sim");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll transpim-sim").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill transpim-sim");
+            panic!("--decode 4294967295 was not rejected within 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect transpim-sim output");
+    assert_rejected(&out, "total ops overflows u64");
 }
 
 #[test]

@@ -8,10 +8,12 @@
 //!    with plain f32 attention within the documented fixed-point tolerance
 //!    on random shapes and inputs, and its traced AAP count must equal the
 //!    analytic closed-form prediction exactly.
-//! 2. **Repeat compression vs unrolled** — `RepeatCompressor` output must
-//!    unroll to exactly the step stream that was fed in, and the program's
-//!    O(1) push-time totals must equal the totals recomputed from the
-//!    unrolled stream (pinning the closed-form Σi/Σi² accounting).
+//! 2. **Repeat compression vs unrolled** — random `Step::Repeat` segments
+//!    (scoped bodies, affine or zero deltas, one nested zero-delta level)
+//!    must unroll to exactly the step stream they denote, their O(1)
+//!    push-time totals must equal the totals recomputed from that stream
+//!    (pinning the closed-form Σi/Σi² accounting), and they must price
+//!    bitwise-equal to it.
 //! 3. **Token flow vs layer flow** — the two functional dataflow
 //!    implementations reorganize the same math and must agree to within
 //!    a few f32 ulps (shard boundaries reorder one reduction).
@@ -35,12 +37,13 @@ use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario};
 use transpim::report::DataflowKind;
 use transpim::SimError;
-use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
+use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload};
 use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
-use transpim_dataflow::ir::{Program, RepeatCompressor, Step};
+use transpim_dataflow::ir::{Program, Step, StepDelta};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_dataflow::{layer_flow, Sharding};
+use transpim_hbm::stats::{ScopedStats, SimStats};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
 use transpim_transformer::softmax::SoftmaxKind;
@@ -92,7 +95,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// (2) RepeatCompressor: unroll equivalence + closed-form totals
+// (2) Repeat segments: unroll equivalence, closed-form totals, pricing
 // ---------------------------------------------------------------------------
 
 /// One generated step spec: variant selector, varying sizes, structural
@@ -113,7 +116,7 @@ fn step_spec() -> impl Strategy<Value = StepSpec> {
     )
 }
 
-fn spec_step(spec: &StepSpec) -> (Step, transpim_dataflow::ir::StepDelta) {
+fn spec_step(spec: &StepSpec) -> (Step, StepDelta) {
     let (kind, s0, s1, s2, w0, w1, d0, d1, d2) = *spec;
     let step = affine_step(kind, [s0, s1, s2], [w0, w1]);
     let delta = delta_for(&step, [d0, d1, d2]);
@@ -124,73 +127,92 @@ fn totals(p: &Program) -> (u64, u64, u64) {
     (p.host_bytes(), p.internal_movement_bytes(), p.total_mul_elems())
 }
 
+const LABELS: [&str; 3] = ["dec.fc", "dec.attn", "dec.ffn"];
+
+/// The bit patterns of every statistic, so equality is bitwise.
+fn stat_bits(stats: &SimStats) -> Vec<u64> {
+    let fields = [stats.latency_ns, stats.bytes_moved].into_iter();
+    fields.chain(stats.time_ns).chain(stats.energy_pj).map(f64::to_bits).collect()
+}
+
+fn scoped_bits(scoped: &ScopedStats) -> Vec<(String, Vec<u64>)> {
+    scoped.iter().map(|(label, stats)| (label.to_string(), stat_bits(stats))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn repeat_compression_is_an_exact_encoding(
         segments in proptest::collection::vec(
-            (proptest::collection::vec(step_spec(), 1..4), 1u64..12),
+            (
+                proptest::collection::vec(step_spec(), 1..4),
+                1u64..12,
+                0usize..LABELS.len(),
+                any::<bool>(),
+                1u64..4,
+            ),
             1..4,
         ),
+        arch in 0u8..4,
     ) {
-        // Feed per-iteration blocks (block i = base advanced i times) and
-        // interleave segments; every segment boundary exercises a flush.
-        let mut comp = RepeatCompressor::new();
+        // Each segment is one repeat of a scoped body with affine (or all
+        // zero) deltas. An inner count above one appends a nested
+        // zero-delta repeat of its own scope and the body's first step.
         let mut prog = Program::new();
         let mut expected = Program::new();
-        for (specs, count) in &segments {
-            let parts: Vec<_> = specs.iter().map(spec_step).collect();
+        for (specs, count, label, zero, inner) in &segments {
+            let parts: Vec<(Step, StepDelta)> = specs
+                .iter()
+                .map(spec_step)
+                .map(|(s, d)| if *zero { (s, StepDelta::zeros(d.len)) } else { (s, d) })
+                .collect();
+            let nested_scope = Step::scope(LABELS[(label + 1) % LABELS.len()]);
+            let nested = (*inner > 1).then(|| {
+                let first = parts[0].0.clone();
+                let zeros = StepDelta::zeros(first.varying().len);
+                (vec![nested_scope.clone(), first], vec![StepDelta::none(), zeros])
+            });
+            let mut body = vec![Step::scope(LABELS[*label])];
+            let mut delta = vec![StepDelta::none()];
+            for (s, d) in &parts {
+                body.push(s.clone());
+                delta.push(*d);
+            }
+            if let Some((inner_body, inner_delta)) = &nested {
+                body.push(Step::repeat(*inner, inner_body.clone(), inner_delta.clone()));
+                delta.push(StepDelta::none());
+            }
+            prog.push(Step::repeat(*count, body, delta));
+
+            // The denoted stream, spelled out: iteration i runs every step
+            // advanced i times, then the nested block `inner` times.
             for i in 0..*count {
-                let mut block: Vec<Step> =
-                    parts.iter().map(|(step, delta)| step.at(delta, i)).collect();
-                for s in &block {
-                    expected.push(s.clone());
+                expected.push(Step::scope(LABELS[*label]));
+                for (s, d) in &parts {
+                    expected.push(s.at(d, i));
                 }
-                comp.push_block(&mut prog, &mut block);
+                if let Some((inner_body, _)) = &nested {
+                    for _ in 0..*inner {
+                        expected.extend(inner_body.iter().cloned());
+                    }
+                }
             }
         }
-        comp.flush(&mut prog);
 
-        // The compressed program denotes exactly the input stream…
+        // The compressed program denotes exactly that stream…
         let unrolled = prog.unroll();
         prop_assert_eq!(unrolled.steps(), expected.steps());
         prop_assert_eq!(prog.unrolled_len(), expected.len() as u64);
-        // …and its push-time totals equal the totals recomputed from the
-        // unrolled stream (closed-form Σi/Σi² vs plain per-step sums).
+        // …its push-time totals equal the totals recomputed from the
+        // unrolled stream (closed-form Σi/Σi² vs plain per-step sums)…
         prop_assert_eq!(totals(&prog), totals(&expected));
         prop_assert_eq!(totals(&prog), totals(&unrolled));
-    }
-
-    #[test]
-    fn repeat_push_block_times_matches_explicit_blocks(
-        specs in proptest::collection::vec(step_spec(), 1..4),
-        times in 1u64..200,
-        kind in 0u8..AFFINE_STEP_KINDS,
-    ) {
-        let parts: Vec<_> = specs.iter().map(spec_step).collect();
-        let block: Vec<Step> = parts.iter().map(|(step, _)| step.clone()).collect();
-
-        // Pre-counted identical blocks…
-        let mut comp = RepeatCompressor::new();
-        let mut prog = Program::new();
-        comp.push_block_times(&mut prog, &mut block.clone(), times);
-        // …then a non-foldable tail step to force heterogeneous flushing.
-        let tail = affine_step(kind, [7, 7, 7], [kind as u32, 3]);
-        comp.push_block(&mut prog, &mut vec![tail.clone()]);
-        comp.flush(&mut prog);
-
-        let mut expected = Program::new();
-        for _ in 0..times {
-            for s in &block {
-                expected.push(s.clone());
-            }
-        }
-        expected.push(tail);
-
-        let unrolled = prog.unroll();
-        prop_assert_eq!(unrolled.steps(), expected.steps());
-        prop_assert_eq!(totals(&prog), totals(&expected));
+        // …and it prices bit for bit as the stream, globally and per scope.
+        let (stats, scoped) = Executor::new(arch_for(arch)).run(&prog);
+        let (flat, flat_scoped) = Executor::new(arch_for(arch)).run(&expected);
+        prop_assert_eq!(stat_bits(&stats), stat_bits(&flat));
+        prop_assert_eq!(scoped_bits(&scoped), scoped_bits(&flat_scoped));
     }
 }
 

@@ -6,7 +6,7 @@
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, SystemInfo};
-use transpim_dataflow::ir::{BankRange, Program, RepeatCompressor, Step};
+use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
 use transpim_hbm::stats::SimStats;
 
 fn session(arch: &ArchConfig, faults: Vec<Fault>, ecc: EccScheme) -> FaultSession {
@@ -99,7 +99,7 @@ fn dead_supersedes_degraded_on_the_same_link() {
 
 #[test]
 fn compressed_and_unrolled_degraded_schedules_price_identically() {
-    // A fault session disables the repeat replay fast path, so the
+    // A fault session disables the zero-delta repeat fast path, so the
     // loop-compressed program must walk every iteration live — and land on
     // exactly the unrolled pricing, flips included (the flip stream is a
     // function of the lump sequence, which is identical).
@@ -109,12 +109,11 @@ fn compressed_and_unrolled_degraded_schedules_price_identically() {
         repeat: 2,
         parallel: 1,
     };
-    let mut comp = RepeatCompressor::new();
+    let zeros = StepDelta::zeros(ring.varying().len);
     let mut compressed = Program::new();
-    comp.push_block_times(&mut compressed, &mut vec![ring], 9);
-    comp.flush(&mut compressed);
-    assert!(compressed.len() < 9, "compressor must fold the identical blocks");
+    compressed.push(Step::repeat(9, vec![ring], vec![zeros]));
     let unrolled = compressed.unroll();
+    assert_eq!(unrolled.len(), 9);
 
     let faults = || vec![Fault::DeadLink { group: 0 }, Fault::TransientFlips { per_gib: 256.0 }];
     let arch = ArchConfig::new(ArchKind::TransPim);
